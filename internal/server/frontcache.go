@@ -6,10 +6,10 @@
 // keeps each survey's per-shard accumulators and the cursor vector they
 // cover; a read within the TTL whose cursor vector satisfies every
 // read-your-writes floor is served from the cached merge with zero
-// RPCs, and a revalidation ships only conditional requests — the node
-// answers not-modified (no state) or a delta fold of the responses past
-// the frontend's cursor, which the frontend Merges into its cached copy
-// instead of replacing it.
+// RPCs, and a revalidation ships one conditional request per node —
+// the node answers each shard not-modified (no state) or a delta fold
+// of the responses past the frontend's cursor, which the frontend
+// Merges into its cached copy instead of replacing it.
 //
 // Staleness contract: submits routed through THIS frontend are always
 // visible to its reads (the submit ack carries the per-shard seq, which
@@ -177,27 +177,17 @@ func (s *Server) cachedRemoteEstimate(sv *survey.Survey) (*aggregate.SurveyEstim
 }
 
 // revalidateLocked brings the entry current: one conditional RPC per
-// shard in parallel (carrying the cursor the cache already holds), the
+// node in parallel (carrying the cursors the cache already holds), the
 // answers applied — nothing for not-modified, a Merge for a delta, a
 // replacement for a full snapshot — and the finalized merge rebuilt.
 // Caller holds cs.mu.
 func (s *Server) revalidateLocked(sv *survey.Survey, cs *cachedSurvey) error {
 	n := len(cs.cursors)
-	fetched := make([]*shardrpc.Partial, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			have := uint64(0)
-			if cs.parts != nil {
-				have = cs.cursors[i]
-			}
-			fetched[i], errs[i] = s.partials.PartialSince(i, sv.ID, have)
-		}(i)
+	have := make([]uint64, n)
+	if cs.parts != nil {
+		copy(have, cs.cursors)
 	}
-	wg.Wait()
+	fetched, errs := s.partials.PartialsSince(sv.ID, have)
 	// A shard whose fetch failed in transport (node down, replicas too)
 	// degrades instead of failing the read: a warm cached part keeps
 	// serving its last state, a cold one is merged around and marked.

@@ -222,11 +222,12 @@ type Server struct {
 }
 
 // partialFetcher is the optional router capability behind the frontend
-// read path: fetch one shard's partial accumulator, already folded by
-// whoever owns the shard — conditionally, against the cursor the
-// caller already holds.
+// read path: fetch every shard's partial accumulator, already folded by
+// whoever owns the shard — conditionally, against the per-shard
+// cursors the caller already holds (have[s], 0 = none). The returned
+// slices align with have.
 type partialFetcher interface {
-	PartialSince(shard int, surveyID string, have uint64) (*shardrpc.Partial, error)
+	PartialsSince(surveyID string, have []uint64) ([]*shardrpc.Partial, []error)
 }
 
 // New validates the configuration and builds the server.
@@ -1146,7 +1147,7 @@ func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Surve
 // shard's full partial accumulator from the node that owns and folds
 // it, Merge the partials, finalize. The state shipped per shard is
 // O(questions × levels) — independent of response count — so a merged
-// read costs one small RPC per shard regardless of how much data the
+// read costs one small RPC per node regardless of how much data the
 // cluster holds. It is what a frontend runs with caching disabled, and
 // what a cold cache's first fill is equivalent to.
 //
@@ -1159,17 +1160,7 @@ func (s *Server) surveyEstimate(w http.ResponseWriter, id string) (*survey.Surve
 // nothing left to serve.
 func (s *Server) mergedRemoteEstimate(sv *survey.Survey) (*aggregate.SurveyEstimate, []int, error) {
 	n := s.router.Shards()
-	parts := make([]*shardrpc.Partial, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i], errs[i] = s.partials.PartialSince(i, sv.ID, 0)
-		}(i)
-	}
-	wg.Wait()
+	parts, errs := s.partials.PartialsSince(sv.ID, make([]uint64, n))
 	var degraded []int
 	for i, err := range errs {
 		if err != nil {

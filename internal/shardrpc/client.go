@@ -23,13 +23,32 @@ type Client struct {
 	http  *http.Client
 }
 
+// maxIdleConnsPerHost is how many idle keep-alive connections the
+// shared pool keeps to each peer. It must cover a node's concurrent
+// calls — the frontend's submit batchers and read fan-out — or the
+// connections above it are closed after each call and dialled again
+// on the next (http.DefaultTransport keeps 2).
+const maxIdleConnsPerHost = 64
+
+// sharedTransport is the one keep-alive pool behind every client built
+// without its own *http.Client, and behind the failover prober.
+var sharedTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	return t
+}()
+
+// defaultHTTPClient bounds every call with a conservative timeout
+// (cluster links are LAN-fast; a hung peer should fail the request,
+// not the caller's goroutine budget).
+var defaultHTTPClient = &http.Client{Timeout: 30 * time.Second, Transport: sharedTransport}
+
 // NewClient builds a client for the node at baseURL. A nil httpClient
-// uses a dedicated client with a conservative timeout (cluster links
-// are LAN-fast; a hung peer should fail the request, not the caller's
-// goroutine budget).
+// uses the shared keep-alive pool; a caller's own client is used as
+// given.
 func NewClient(baseURL, token string, httpClient *http.Client) *Client {
 	if httpClient == nil {
-		httpClient = &http.Client{Timeout: 30 * time.Second}
+		httpClient = defaultHTTPClient
 	}
 	return &Client{base: baseURL, token: token, http: httpClient}
 }
@@ -219,25 +238,35 @@ func (c *Client) Count(shard int, surveyID string) (int, error) {
 	return res.Count, nil
 }
 
-// Partial fetches one shard's full partial accumulator state for a
-// survey (the unconditional fetch: have = 0).
-func (c *Client) Partial(shard int, surveyID string) (*Partial, error) {
-	return c.PartialSince(shard, surveyID, 0)
-}
-
-// PartialSince is the conditional fetch: have is the per-shard cursor
-// the caller already holds. The node replies not-modified, a delta
-// covering (have, cursor], or a full snapshot — see Partial.
-func (c *Client) PartialSince(shard int, surveyID string, have uint64) (*Partial, error) {
-	var p Partial
-	q := url.Values{"survey": {surveyID}}
-	if have > 0 {
-		q.Set("have", strconv.FormatUint(have, 10))
+// PartialsSince is the batched conditional fetch: one round trip for
+// every listed shard of one survey on this node. Each shard's answer is
+// not-modified, a delta past its have cursor, or a full snapshot (see
+// Partial). The returned slices align with want. A shard the node
+// refused fails alone, with the error a single-shard call would return
+// (errors.Is works as on any other call); err reports a call that
+// failed as a whole — in transport, or answered with an error status —
+// and then covers every shard.
+func (c *Client) PartialsSince(surveyID string, want []PartialWant) ([]*Partial, []error, error) {
+	var res PartialsResult
+	if err := c.do(http.MethodPost, "/shardrpc/v1/partial", nil, &PartialsRequest{SurveyID: surveyID, Shards: want}, &res); err != nil {
+		return nil, nil, err
 	}
-	if err := c.do(http.MethodGet, "/shardrpc/v1/shards/"+strconv.Itoa(shard)+"/partial", q, nil, &p); err != nil {
-		return nil, err
+	if len(res.Results) != len(want) {
+		return nil, nil, fmt.Errorf("shardrpc: partial answer has %d results for %d shards", len(res.Results), len(want))
 	}
-	return &p, nil
+	parts := make([]*Partial, len(want))
+	errs := make([]error, len(want))
+	for i, a := range res.Results {
+		switch {
+		case a.Status != 0:
+			errs[i] = &remoteError{Status: a.Status, Msg: a.Error}
+		case a.Partial == nil:
+			errs[i] = fmt.Errorf("shardrpc: partial answer for shard %d is empty", want[i].Shard)
+		default:
+			parts[i] = a.Partial
+		}
+	}
+	return parts, errs, nil
 }
 
 // Tail fetches one page of WAL-tail shipping. A non-empty follower id

@@ -2,6 +2,7 @@ package shardrpc
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -301,7 +302,9 @@ func (r *Remote) EnableFailover(opts FailoverOptions) {
 
 func (r *Remote) probeLoop(opts FailoverOptions) {
 	defer close(r.probeDone)
-	hc := &http.Client{Timeout: opts.ProbeTimeout}
+	// The probes ride the shared keep-alive pool: each is one request
+	// per node on a connection kept warm between rounds.
+	hc := &http.Client{Timeout: opts.ProbeTimeout, Transport: sharedTransport}
 	t := time.NewTicker(opts.ProbeInterval)
 	defer t.Stop()
 	for {
@@ -314,6 +317,8 @@ func (r *Remote) probeLoop(opts FailoverOptions) {
 					r.markDown(url, err)
 					continue
 				}
+				// Drained before Close, or the connection cannot be reused.
+				_, _ = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				if resp.StatusCode >= 200 && resp.StatusCode < 500 {
 					// Any answer at all proves liveness; the probe is a

@@ -40,7 +40,7 @@ func NewHandler(backend Backend, token string) (*Handler, error) {
 	h.mux.HandleFunc("POST /shardrpc/v1/submit", h.guard(h.handleSubmit))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/scan", h.guard(h.handleScan))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/count", h.guard(h.handleCount))
-	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/partial", h.guard(h.handlePartial))
+	h.mux.HandleFunc("POST /shardrpc/v1/partial", h.guard(h.handlePartials))
 	h.mux.HandleFunc("GET /shardrpc/v1/shards/{shard}/tail", h.guard(h.handleTail))
 	h.mux.HandleFunc("GET /shardrpc/v1/surveys", h.guard(h.handleSurveys))
 	h.mux.HandleFunc("GET /shardrpc/v1/surveys/{id}", h.guard(h.handleSurvey))
@@ -67,32 +67,40 @@ func (h *Handler) guard(fn http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeBackendErr maps backend errors to transport statuses: unknown
+// backendStatus maps backend errors to transport statuses: unknown
 // survey → 404, duplicate publish → 409, unowned shard → 421 (the
-// caller's placement map is wrong), anything else → 400 (validation)
-// so the sender does not blindly retry a rejected record.
-func writeBackendErr(w http.ResponseWriter, err error) {
+// caller's placement map is wrong), epoch fence → 412 (the caller's
+// placement view is stale; nothing was appended), admission shed → 429,
+// anything else → 400 (validation) so the sender does not blindly
+// retry a rejected record.
+func backendStatus(err error) int {
 	var notOwned *ErrNotOwned
 	var overloaded *OverloadedError
 	switch {
 	case errors.As(err, &notOwned):
-		writeErr(w, http.StatusMisdirectedRequest, err.Error())
+		return http.StatusMisdirectedRequest
 	case errors.Is(err, ErrFenced):
-		// An epoch fence: the sender's placement view is stale. Nothing
-		// was appended; the sender refreshes its manifest, not the batch.
-		writeErr(w, http.StatusPreconditionFailed, err.Error())
+		return http.StatusPreconditionFailed
 	case errors.As(err, &overloaded):
-		// The node shed the batch at admission: nothing was appended,
-		// the sender retries the whole batch after the hint.
-		w.Header().Set("Retry-After", strconv.Itoa(overloaded.RetryAfterSeconds))
-		writeErr(w, http.StatusTooManyRequests, err.Error())
+		return http.StatusTooManyRequests
 	case errors.Is(err, store.ErrNotFound):
-		writeErr(w, http.StatusNotFound, err.Error())
+		return http.StatusNotFound
 	case errors.Is(err, store.ErrExists):
-		writeErr(w, http.StatusConflict, err.Error())
+		return http.StatusConflict
 	default:
-		writeErr(w, http.StatusBadRequest, err.Error())
+		return http.StatusBadRequest
 	}
+}
+
+// writeBackendErr answers a backend error with its backendStatus. A
+// shed batch also carries the Retry-After hint: nothing was appended,
+// the sender retries the whole batch after it.
+func writeBackendErr(w http.ResponseWriter, err error) {
+	var overloaded *OverloadedError
+	if errors.As(err, &overloaded) {
+		w.Header().Set("Retry-After", strconv.Itoa(overloaded.RetryAfterSeconds))
+	}
+	writeErr(w, backendStatus(err), err.Error())
 }
 
 func (h *Handler) handleMeta(w http.ResponseWriter, _ *http.Request) {
@@ -215,22 +223,24 @@ func (h *Handler) handleCount(w http.ResponseWriter, r *http.Request) {
 	writeOK(w, CountResult{Count: h.backend.CountShard(shard, r.URL.Query().Get("survey"))})
 }
 
-func (h *Handler) handlePartial(w http.ResponseWriter, r *http.Request) {
-	shard, ok := pathShard(w, r)
-	if !ok {
+// handlePartials answers every listed shard in request order. A shard
+// the backend refuses gets its status and message in its own entry;
+// the call itself succeeds.
+func (h *Handler) handlePartials(w http.ResponseWriter, r *http.Request) {
+	var req PartialsRequest
+	if !readJSON(w, r, &req) {
 		return
 	}
-	have, err := strconv.ParseUint(qDefault(r, "have", "0"), 10, 64)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad have cursor")
-		return
+	res := PartialsResult{Results: make([]PartialAnswer, len(req.Shards))}
+	for i, want := range req.Shards {
+		p, err := h.backend.PartialState(want.Shard, req.SurveyID, want.Have)
+		if err != nil {
+			res.Results[i] = PartialAnswer{Status: backendStatus(err), Error: err.Error()}
+			continue
+		}
+		res.Results[i].Partial = p
 	}
-	p, err := h.backend.PartialState(shard, r.URL.Query().Get("survey"), have)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeOK(w, p)
+	writeOK(w, res)
 }
 
 func (h *Handler) handleTail(w http.ResponseWriter, r *http.Request) {

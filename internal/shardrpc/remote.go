@@ -415,40 +415,77 @@ func (r *Remote) CountShard(shard int, surveyID string) int {
 	return 0
 }
 
-// Partial fetches one shard's full partial accumulator from its owning
-// node — the frontend's merge-at-query-time read path.
-func (r *Remote) Partial(shard int, surveyID string) (*Partial, error) {
-	return r.PartialSince(shard, surveyID, 0)
-}
-
-// PartialSince is the conditional fetch behind the frontend's partial
-// cache: the owning node answers not-modified, a delta past have, or a
-// full snapshot. Under manifest routing a down (or just-died) primary
-// fails over to the shard's replicas; a replica-served answer carries
-// the Stale mark and bumps the stale-read counter — degraded reads are
-// labeled, never guessed.
-func (r *Remote) PartialSince(shard int, surveyID string, have uint64) (*Partial, error) {
-	clients, stale, err := r.readTargets(shard)
-	if err != nil {
-		return nil, err
+// PartialsSince is the conditional fetch behind the frontend's merged
+// reads and partial cache: have[s] is the cursor the caller holds for
+// shard s (0 = none), and each shard's answer is not-modified, a delta
+// past it, or a full snapshot. Shards are grouped by their first read
+// target and each target gets one batched call, all in parallel. Under
+// manifest routing a down primary's shards go to its replicas; one
+// that dies during the call is marked down and its shards continue
+// over their remaining targets, grouped again. A replica-served answer
+// carries the Stale mark and bumps the stale-read counter — degraded
+// reads are labeled, never guessed. The returned slices align with
+// have; a shard no target reached carries the last transport error.
+func (r *Remote) PartialsSince(surveyID string, have []uint64) ([]*Partial, []error) {
+	parts := make([]*Partial, len(have))
+	errs := make([]error, len(have))
+	targets := make([][]*Client, len(have))
+	stale := make([][]bool, len(have))
+	next := make([]int, len(have)) // index of each shard's current target
+	pending := make([]int, 0, len(have))
+	for s := range have {
+		targets[s], stale[s], errs[s] = r.readTargets(s)
+		if errs[s] == nil {
+			pending = append(pending, s)
+		}
 	}
-	var lastErr error
-	for i, c := range clients {
-		p, err := c.PartialSince(shard, surveyID, have)
-		r.noteResult(c, err)
-		if err == nil {
-			if stale[i] {
-				p.Stale = true
-				r.staleReads.Add(1)
+	for len(pending) > 0 {
+		var calls []*Client
+		groups := make(map[*Client][]int)
+		for _, s := range pending {
+			c := targets[s][next[s]]
+			if _, ok := groups[c]; !ok {
+				calls = append(calls, c)
 			}
-			return p, nil
+			groups[c] = append(groups[c], s)
 		}
-		lastErr = err
-		if !IsTransportError(err) {
-			return nil, err
+		got := make([][]*Partial, len(calls))
+		gotErrs := make([][]error, len(calls))
+		callErrs := make([]error, len(calls))
+		var wg sync.WaitGroup
+		for i, c := range calls {
+			want := make([]PartialWant, len(groups[c]))
+			for j, s := range groups[c] {
+				want[j] = PartialWant{Shard: s, Have: have[s]}
+			}
+			wg.Add(1)
+			go func(i int, c *Client) {
+				defer wg.Done()
+				got[i], gotErrs[i], callErrs[i] = c.PartialsSince(surveyID, want)
+			}(i, c)
+		}
+		wg.Wait()
+		pending = pending[:0]
+		for i, c := range calls {
+			r.noteResult(c, callErrs[i])
+			for j, s := range groups[c] {
+				if err := callErrs[i]; err != nil {
+					errs[s] = err
+					if IsTransportError(err) && next[s]+1 < len(targets[s]) {
+						next[s]++
+						pending = append(pending, s)
+					}
+					continue
+				}
+				parts[s], errs[s] = got[i][j], gotErrs[i][j]
+				if parts[s] != nil && stale[s][next[s]] {
+					parts[s].Stale = true
+					r.staleReads.Add(1)
+				}
+			}
 		}
 	}
-	return nil, lastErr
+	return parts, errs
 }
 
 // Close implements shardset.ShardRouter: stops the failover prober when

@@ -11,9 +11,11 @@
 //	POST /shardrpc/v1/submit                    batch append to one shard
 //	GET  /shardrpc/v1/shards/{shard}/scan       cursor scan (paged)
 //	GET  /shardrpc/v1/shards/{shard}/count      per-shard response count
-//	GET  /shardrpc/v1/shards/{shard}/partial    partial accumulator state
-//	                                            (conditional: ?have=cursor
-//	                                            answers not-modified/delta)
+//	POST /shardrpc/v1/partial                   partial accumulator states,
+//	                                            one entry per listed shard
+//	                                            (conditional: each carries
+//	                                            the cursor it has; answers
+//	                                            not-modified/delta/full)
 //	GET  /shardrpc/v1/shards/{shard}/tail       WAL-tail shipping
 //	                                            (?follower=id registers a
 //	                                            truncation ack)
@@ -21,6 +23,10 @@
 //	GET  /shardrpc/v1/surveys                   survey definitions
 //	GET  /shardrpc/v1/surveys/{id}              one survey definition
 //	POST /shardrpc/v1/surveys                   publish/republish broadcast
+//
+// Every client without its own *http.Client dials through one shared
+// keep-alive pool (see NewClient), so the frontend's read fan-out
+// and submit batches ride warm connections.
 //
 // Shard indices on this surface are always global (the cluster's shard
 // space); a node translates to its local subset and rejects shards it
@@ -177,6 +183,36 @@ type Partial struct {
 	// propagate the mark to their admin surface so degraded reads are
 	// labeled, never guessed.
 	Stale bool `json:"stale,omitempty"`
+}
+
+// PartialWant asks for one shard's partial, conditional on the cursor
+// the caller already holds (0 = none).
+type PartialWant struct {
+	Shard int    `json:"shard"`
+	Have  uint64 `json:"have,omitempty"`
+}
+
+// PartialsRequest is one node's batched conditional fetch: every shard
+// the caller reads from that node, for one survey, in one round trip.
+type PartialsRequest struct {
+	SurveyID string        `json:"survey_id"`
+	Shards   []PartialWant `json:"shards"`
+}
+
+// PartialAnswer is one shard's entry in a PartialsResult: the Partial,
+// or the status and message a single-shard call would have failed
+// with (the statuses writeBackendErr uses), so a shard the node does
+// not own or cannot answer fails alone.
+type PartialAnswer struct {
+	Partial *Partial `json:"partial,omitempty"`
+	Status  int      `json:"status,omitempty"`
+	Error   string   `json:"error,omitempty"`
+}
+
+// PartialsResult answers a PartialsRequest with one entry per
+// requested shard, in request order.
+type PartialsResult struct {
+	Results []PartialAnswer `json:"results"`
 }
 
 // PublishRequest broadcasts a survey definition. Replace selects the

@@ -207,10 +207,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("page 2 = %+v", sb)
 	}
 
-	p, err := c.Partial(1, "sv")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := partialOf(t, c, 1, "sv", 0)
 	if p.Cursor != 3 || p.State == nil || p.State.N != 3 || p.Fingerprint != sv.Fingerprint() {
 		t.Fatalf("partial = %+v", p)
 	}
@@ -376,6 +373,19 @@ func TestRemoteRouterEquivalence(t *testing.T) {
 	}
 }
 
+// partialOf fetches one shard's partial through the batched call.
+func partialOf(t *testing.T, c *Client, shard int, surveyID string, have uint64) *Partial {
+	t.Helper()
+	parts, errs, err := c.PartialsSince(surveyID, []PartialWant{{Shard: shard, Have: have}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	return parts[0]
+}
+
 // TestConditionalPartial drives the conditional fetch over the wire:
 // cold full fetch, not-modified revalidation, delta past a held
 // cursor, and the full-resync answer for a cursor ahead of the shard.
@@ -390,19 +400,13 @@ func TestConditionalPartial(t *testing.T) {
 	}
 
 	// Cold fetch: full snapshot.
-	full, err := c.PartialSince(0, "sv", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := partialOf(t, c, 0, "sv", 0)
 	if full.Delta || full.NotModified || full.Cursor != 3 || full.State == nil || full.State.N != 3 {
 		t.Fatalf("cold fetch = %+v", full)
 	}
 
 	// Revalidation at the current cursor: not-modified, no state.
-	nm, err := c.PartialSince(0, "sv", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nm := partialOf(t, c, 0, "sv", 3)
 	if !nm.NotModified || nm.State != nil || nm.Cursor != 3 {
 		t.Fatalf("revalidation = %+v", nm)
 	}
@@ -411,20 +415,14 @@ func TestConditionalPartial(t *testing.T) {
 	if _, err := c.Submit(0, []survey.Response{rpcResponse("sv", 3), rpcResponse("sv", 4)}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.PartialSince(0, "sv", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := partialOf(t, c, 0, "sv", 3)
 	if !d.Delta || d.From != 3 || d.Cursor != 5 || d.State == nil || d.State.N != 2 {
 		t.Fatalf("delta = %+v", d)
 	}
 
 	// A cursor ahead of the shard (the caller cached a stream this
 	// store never produced): full resync, not a delta.
-	re, err := c.PartialSince(0, "sv", 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := partialOf(t, c, 0, "sv", 99)
 	if re.Delta || re.NotModified || re.Cursor != 5 || re.State == nil || re.State.N != 5 {
 		t.Fatalf("ahead-of-shard fetch = %+v", re)
 	}
