@@ -144,8 +144,7 @@ func newBudgetHarness(dir string, sv *survey.Survey, enforce bool) (*budgetHarne
 	ts := httptest.NewServer(rpc)
 	h.closers = append(h.closers, func() error { ts.Close(); return nil })
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clusterWorkers * 2}}
-	client := shardrpc.NewClient(ts.URL, clusterToken, hc)
-	remote, err := shardrpc.NewRemoteRoundRobin([]*shardrpc.Client{client}, clusterShards)
+	remote, err := roundRobinRemote([]string{ts.URL}, hc)
 	if err != nil {
 		h.close()
 		return nil, err
@@ -156,6 +155,7 @@ func newBudgetHarness(dir string, sv *survey.Survey, enforce bool) (*budgetHarne
 		FrontendCacheTTL: -1,
 	}
 	if enforce {
+		client := shardrpc.NewClient(ts.URL, clusterToken, hc)
 		charger, err := shardrpc.NewRemoteCharger([]*shardrpc.Client{client}, clusterShards, bcfg)
 		if err != nil {
 			h.close()

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/server"
 	"loki/internal/shardrpc"
 	"loki/internal/shardset"
@@ -220,7 +221,7 @@ func newStandaloneHarness(dir string, sv *survey.Survey) (*clusterHarness, error
 func newClusterHarness(dir string, sv *survey.Survey, nodes int) (*clusterHarness, error) {
 	h := &clusterHarness{}
 	owned := shardrpc.RoundRobinPlacement(clusterShards, nodes)
-	clients := make([]*shardrpc.Client, nodes)
+	urls := make([]string, nodes)
 	for n := 0; n < nodes; n++ {
 		stores := make([]store.Store, len(owned[n]))
 		for i, g := range owned[n] {
@@ -258,12 +259,12 @@ func newClusterHarness(dir string, sv *survey.Survey, nodes int) (*clusterHarnes
 		}
 		ts := httptest.NewServer(rpc)
 		h.closers = append(h.closers, func() error { ts.Close(); return nil })
-		// One transport per node with enough idle conns that the submit
-		// workers are not throttled by connection churn.
-		hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clusterWorkers * 2}}
-		clients[n] = shardrpc.NewClient(ts.URL, clusterToken, hc)
+		urls[n] = ts.URL
 	}
-	remote, err := shardrpc.NewRemoteRoundRobin(clients, clusterShards)
+	// Enough idle conns per node that the submit workers are not
+	// throttled by connection churn.
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clusterWorkers * 2}}
+	remote, err := roundRobinRemote(urls, hc)
 	if err != nil {
 		h.close()
 		return nil, err
@@ -602,6 +603,16 @@ func runClusterBench(nodeCounts []int) error {
 		}
 	}
 	return nil
+}
+
+// roundRobinRemote builds a frontend router over nodes that own the
+// shards of a round-robin placement manifest, held in memory.
+func roundRobinRemote(urls []string, hc *http.Client) (*shardrpc.Remote, error) {
+	m, err := placement.RoundRobin(clusterShards, urls)
+	if err != nil {
+		return nil, err
+	}
+	return shardrpc.NewRemoteFromManifest(m, clusterToken, hc)
 }
 
 // parseClusterNodes parses the -cluster-nodes flag.

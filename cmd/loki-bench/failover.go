@@ -323,12 +323,10 @@ func runFailoverBench() (*failoverResult, error) {
 		}
 		// Detection: the frontend's failure detector flags the primary.
 		if detectAt.IsZero() {
-			if fi := remote.FailoverInfo(); fi != nil {
-				for _, sh := range fi.Shards {
-					if sh.PrimaryDown {
-						detectAt = time.Now()
-						break
-					}
+			for _, sh := range remote.FailoverInfo().Shards {
+				if sh.PrimaryDown {
+					detectAt = time.Now()
+					break
 				}
 			}
 		}

@@ -156,7 +156,7 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 		return nil, err
 	}
 	owned := shardrpc.RoundRobinPlacement(clusterShards, nodes)
-	clients := make([]*shardrpc.Client, nodes)
+	urls := make([]string, nodes)
 	for n := 0; n < nodes; n++ {
 		stores := make([]store.Store, len(owned[n]))
 		for i, g := range owned[n] {
@@ -191,10 +191,10 @@ func newLoadHarness(dir string, sv *survey.Survey, nodes, queue, inflight int) (
 		}
 		nts := httptest.NewServer(rpc)
 		h.closers = append(h.closers, func() error { nts.Close(); return nil })
-		hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2 * inflight}}
-		clients[n] = shardrpc.NewClient(nts.URL, clusterToken, hc)
+		urls[n] = nts.URL
 	}
-	remote, err := shardrpc.NewRemoteRoundRobin(clients, clusterShards)
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 2 * inflight}}
+	remote, err := roundRobinRemote(urls, hc)
 	if err != nil {
 		return fail(err)
 	}

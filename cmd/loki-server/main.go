@@ -11,17 +11,16 @@
 //
 //	standalone  (default) one process owns everything — the classic
 //	            deployment; responses live on one logical shard.
-//	node        owns a subset of the cluster's shard space and serves
-//	            the internal shardrpc transport (submit-batch, cursor
-//	            scans, partial-aggregate snapshots, WAL-tail shipping)
-//	            alongside the public API. Configure with -cluster-shards
-//	            (global shard count), -cluster-nodes (cluster size) and
-//	            -node-index (this node's slot); the node owns every
-//	            shard s with s % cluster-nodes == node-index. Each owned
-//	            shard gets its own store (subdirectory for durable
-//	            backends).
-//	frontend    owns no storage: routes submissions to the nodes in
-//	            -peers by the cluster-wide placement hash and answers
+//	node        owns the shards the placement manifest (-manifest) names
+//	            it primary of — it finds itself by -advertise, and
+//	            refuses to start if that URL is primary of no shard —
+//	            and serves the internal shardrpc transport
+//	            (submit-batch, cursor scans, partial-aggregate
+//	            snapshots, WAL-tail shipping) alongside the public API.
+//	            Each owned shard gets its own store (subdirectory for
+//	            durable backends).
+//	frontend    owns no storage: routes submissions to each shard's
+//	            primary in the placement manifest (-manifest) and answers
 //	            reads from a per-survey partial cache (keyed by the
 //	            per-shard cursor vector, revalidated with conditional
 //	            delta RPCs within -frontend-cache-ttl, invalidated for
@@ -39,16 +38,20 @@
 //	            automatically after -promote-after of the primary being
 //	            unreachable).
 //
-// High availability (-manifest): cluster roles can share a versioned
-// placement manifest (JSON: shard -> primary + replicas, each shard
-// with a fencing epoch) instead of positional -peers. Every role
-// watches the file (-manifest-poll): frontends route by it, probe node
-// health (-probe-interval) and fail reads over to replicas when a
-// primary dies (writes to the failed shard answer 503 + Retry-After
-// until promotion); a promotion bumps the shard's epoch in the
-// manifest, which re-routes every frontend and fences the old
+// Placement (-manifest): the cluster roles share one versioned placement
+// manifest (JSON: shard -> primary + replicas, each shard with a
+// fencing epoch); its shard count is the cluster's global shard count.
+// Every role watches the file (-manifest-poll): frontends route by it,
+// probe node health (-probe-interval) and fail reads over to replicas
+// when a primary dies (writes to the failed shard answer 503 +
+// Retry-After until promotion); a promotion bumps the shard's epoch in
+// the manifest, which re-routes every frontend and fences the old
 // primary's writes with 412 when it returns. -advertise tells a node
-// or replica which manifest entry is itself.
+// or replica which manifest entry is itself. A minimal 2-node manifest:
+//
+//	{"version": 1, "shards": [
+//	  {"shard": 0, "epoch": 1, "primary": "http://10.0.0.1:8081"},
+//	  {"shard": 1, "epoch": 1, "primary": "http://10.0.0.2:8081"}]}
 //
 // With -store mem the server keeps everything in memory; with -store
 // ingest:DIR it opens the sharded segmented-WAL ingest store rooted at
@@ -66,11 +69,11 @@
 // Privacy budget (-budget-enforce=off|log|enforce): every submit debits
 // the worker's zCDP account against a (-budget-cap-epsilon,
 // -budget-delta) ceiling before it is appended. Standalone servers keep
-// the ledger in process; cluster nodes host the budget shards their
-// slot owns (durable under -budget-dir) and frontends charge through
-// them over shardrpc, so one worker's spend is enforced across every
-// frontend. Set the budget flags identically on node and frontend
-// roles — the shard count and placement must agree.
+// the ledger in process; cluster nodes host budget shards (one per
+// global shard, laid round-robin over the manifest's primaries; durable
+// under -budget-dir) and frontends charge through them over shardrpc,
+// so one worker's spend is enforced across every frontend. Set the
+// budget flags identically on node and frontend roles.
 //
 // Overload protection (default off): -submit-inflight and -submit-queue
 // bound concurrent and queued submits, shedding the excess with 429 +
@@ -89,6 +92,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -109,11 +113,7 @@ import (
 // clusterFlags carries the -role wiring.
 type clusterFlags struct {
 	role           string
-	peers          string // frontend: comma-separated node base URLs
 	follow         string // replica: node base URL
-	clusterShards  int    // node/frontend: global shard count
-	clusterNodes   int    // node: cluster size (for ownership)
-	nodeIndex      int    // node: this node's slot
 	clusterToken   string // shardrpc bearer token (defaults to -token)
 	pollInterval   time.Duration
 	cacheTTL       time.Duration // frontend: partial cache staleness bound
@@ -122,7 +122,7 @@ type clusterFlags struct {
 	followerID     string        // replica: stable follower id for truncation acks
 	followerAckTTL time.Duration // node: expire silent follower acks after this long
 
-	manifest      string        // all cluster roles: shared placement manifest path
+	manifest      string        // cluster roles: shared placement manifest path (required for node and frontend)
 	manifestPoll  time.Duration // manifest watch interval
 	advertise     string        // node/replica: this process's base URL in the manifest
 	probeInterval time.Duration // frontend: health-probe interval of the failure detector
@@ -175,11 +175,7 @@ func main() {
 	checkpointEvery := flag.Duration("checkpoint-interval", 15*time.Second, "background checkpointer flush period")
 	var cf clusterFlags
 	flag.StringVar(&cf.role, "role", "standalone", "deployment role: standalone, node, frontend or replica")
-	flag.StringVar(&cf.peers, "peers", "", "frontend: comma-separated node base URLs (http://host:port), in node-index order")
 	flag.StringVar(&cf.follow, "follow", "", "replica: base URL of the node to tail")
-	flag.IntVar(&cf.clusterShards, "cluster-shards", 8, "node/frontend: global shard count (fixed for the cluster's lifetime)")
-	flag.IntVar(&cf.clusterNodes, "cluster-nodes", 1, "node: number of nodes in the cluster")
-	flag.IntVar(&cf.nodeIndex, "node-index", 0, "node: this node's slot in [0, cluster-nodes)")
 	flag.StringVar(&cf.clusterToken, "cluster-token", "", "bearer token for the internal shardrpc transport (defaults to -token)")
 	flag.DurationVar(&cf.pollInterval, "replica-poll", 500*time.Millisecond, "replica: journal tail poll interval")
 	flag.DurationVar(&cf.cacheTTL, "frontend-cache-ttl", 250*time.Millisecond,
@@ -193,12 +189,12 @@ func main() {
 	flag.DurationVar(&cf.followerAckTTL, "follower-ack-ttl", 10*time.Minute,
 		"node: drop a replica's journal-truncation ack after this long without a tail from it, so dead replicas stop pinning retention (0 keeps acks forever)")
 	flag.StringVar(&cf.manifest, "manifest", "",
-		"path of the shared placement manifest (versioned JSON mapping shard -> primary + replicas with per-shard epochs); watched by every cluster role, so promotions re-route frontends and fence demoted nodes without restarts")
+		"path of the shared placement manifest (versioned JSON mapping shard -> primary + replicas with per-shard epochs; required for node and frontend); watched by every cluster role, so promotions re-route frontends and fence demoted nodes without restarts")
 	flag.DurationVar(&cf.manifestPoll, "manifest-poll", time.Second, "placement manifest watch interval")
 	flag.StringVar(&cf.advertise, "advertise", "",
-		"node/replica: this process's base URL exactly as the manifest names it (required with -manifest on those roles)")
+		"node/replica: this process's base URL exactly as the manifest names it (required for node, and for replica with -manifest)")
 	flag.DurationVar(&cf.probeInterval, "probe-interval", 500*time.Millisecond,
-		"frontend: health-probe interval of the per-node failure detector (with -manifest)")
+		"frontend: health-probe interval of the per-node failure detector")
 	flag.DurationVar(&cf.promoteAfter, "promote-after", 0,
 		"replica: promote a followed shard automatically after its tail has been failing this long (0 promotes only on the operator signal)")
 	flag.StringVar(&cf.budgetDir, "budget-dir", "",
@@ -261,24 +257,6 @@ func openShardStore(storePath string, icfg ingest.Config, codec string, globalSh
 	}
 }
 
-// ownedShards returns the global shards a node slot owns. The
-// placement itself lives in shardrpc.RoundRobinPlacement — the same
-// function the frontend routes by — so node ownership and frontend
-// routing cannot drift apart.
-func ownedShards(clusterShards, clusterNodes, nodeIndex int) ([]int, error) {
-	if clusterShards < 1 {
-		return nil, fmt.Errorf("cluster-shards %d < 1", clusterShards)
-	}
-	if clusterNodes < 1 || nodeIndex < 0 || nodeIndex >= clusterNodes {
-		return nil, fmt.Errorf("node-index %d outside [0, %d)", nodeIndex, clusterNodes)
-	}
-	owned := shardrpc.RoundRobinPlacement(clusterShards, clusterNodes)[nodeIndex]
-	if len(owned) == 0 {
-		return nil, fmt.Errorf("node %d of %d owns no shards of %d", nodeIndex, clusterNodes, clusterShards)
-	}
-	return owned, nil
-}
-
 // openCheckpoints opens the checkpoint log when enabled, logging its
 // replayed state.
 func openCheckpoints(dir, codec string, every time.Duration, logger *log.Logger) (*checkpoint.Log, error) {
@@ -310,318 +288,44 @@ func budgetWhere(dir string) string {
 	return dir
 }
 
-func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, storeCodec, checkpointDir string, checkpointEvery time.Duration, cf clusterFlags, logger *log.Logger) error {
-	var handler http.Handler
-	var closers []func() error
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			if err := closers[i](); err != nil {
-				logger.Printf("shutdown: %v", err)
-			}
-		}
-	}()
+// role is one wired -role, not yet listening: the handler to serve and
+// the closers that tear down what it opened, in open order.
+type role struct {
+	handler http.Handler
+	closers []func() error
+}
 
-	switch cf.role {
-	case "standalone":
-		st, err := openStore(storePath, icfg, storeCodec)
-		if err != nil {
-			return err
+// close runs the closers in reverse open order.
+func (rl *role) close(logger *log.Logger) {
+	for i := len(rl.closers) - 1; i >= 0; i-- {
+		if err := rl.closers[i](); err != nil {
+			logger.Printf("shutdown: %v", err)
 		}
-		closers = append(closers, st.Close)
-		if seedCatalog {
-			if err := seedStore(st, logger); err != nil {
-				return err
-			}
-		}
-		ckpt, err := openCheckpoints(checkpointDir, storeCodec, checkpointEvery, logger)
-		if err != nil {
-			return err
-		}
-		if ckpt != nil {
-			closers = append(closers, ckpt.Close)
-		}
-		scfg := server.Config{
-			Store:              st,
-			Schedule:           core.DefaultSchedule(),
-			RequesterToken:     token,
-			Logger:             logger,
-			Checkpoints:        ckpt,
-			CheckpointInterval: checkpointEvery,
-		}
-		cf.admission(&scfg)
-		if cf.budgetEnabled() {
-			set, err := budget.NewSet(budget.SetOptions{
-				Shards: 1, Dir: cf.budgetDir, Config: cf.budgetConfig(),
-			})
-			if err != nil {
-				return err
-			}
-			closers = append(closers, set.Close)
-			scfg.Budget = set
-			scfg.BudgetEnforce = cf.budgetEnforce
-			logger.Printf("privacy budget %s: cap ε=%g at δ=%g (ledger %s)",
-				cf.budgetEnforce, cf.budgetCap, cf.budgetDelta, budgetWhere(cf.budgetDir))
-		}
-		srv, err := server.New(scfg)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, srv.Close)
-		handler = srv
-
-	case "node":
-		owned, err := ownedShards(cf.clusterShards, cf.clusterNodes, cf.nodeIndex)
-		if err != nil {
-			return err
-		}
-		stores := make([]store.Store, len(owned))
-		for i, g := range owned {
-			st, err := openShardStore(storePath, icfg, storeCodec, g)
-			if err != nil {
-				return err
-			}
-			closers = append(closers, st.Close)
-			stores[i] = st
-		}
-		local, err := shardset.NewLocal(stores, shardset.LocalOptions{
-			GlobalIDs: owned, Journal: true, JournalRetain: cf.journalRetain,
-			FollowerAckTTL: cf.followerAckTTL,
-		})
-		if err != nil {
-			return err
-		}
-		if seedCatalog {
-			if err := seedStore(local, logger); err != nil {
-				return err
-			}
-		}
-		ckpt, err := openCheckpoints(checkpointDir, storeCodec, checkpointEvery, logger)
-		if err != nil {
-			return err
-		}
-		if ckpt != nil {
-			closers = append(closers, ckpt.Close)
-		}
-		scfg := server.Config{
-			Router:             local,
-			Schedule:           core.DefaultSchedule(),
-			RequesterToken:     token,
-			Logger:             logger,
-			Checkpoints:        ckpt,
-			CheckpointInterval: checkpointEvery,
-			Role:               "node",
-			ClusterShards:      cf.clusterShards,
-		}
-		cf.admission(&scfg)
-		var bset *budget.Set
-		if cf.budgetEnabled() {
-			bset, err = budget.NewSet(budget.SetOptions{
-				Shards: cf.clusterShards, GlobalIDs: owned, Dir: cf.budgetDir, Config: cf.budgetConfig(),
-			})
-			if err != nil {
-				return err
-			}
-			closers = append(closers, bset.Close)
-			// The node's own public API enforces through its hosted
-			// subset; charges for workers on other nodes' shards are
-			// skipped here and enforced at the frontend.
-			scfg.Budget = bset
-			scfg.BudgetEnforce = cf.budgetEnforce
-			logger.Printf("privacy budget %s: hosting budget shards %v, cap ε=%g at δ=%g (ledger %s)",
-				cf.budgetEnforce, owned, cf.budgetCap, cf.budgetDelta, budgetWhere(cf.budgetDir))
-		}
-		srv, err := server.New(scfg)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, srv.Close)
-		node, err := server.NewNode(srv, cf.clusterShards)
-		if err != nil {
-			return err
-		}
-		if bset != nil {
-			node.HostBudget(bset)
-		}
-		rpc, err := shardrpc.NewHandler(node, cf.clusterToken)
-		if err != nil {
-			return err
-		}
-		if cf.manifest != "" {
-			if cf.advertise == "" {
-				return errors.New("node with -manifest needs -advertise (its URL as the manifest names it)")
-			}
-			w, err := placement.Watch(cf.manifest, cf.manifestPoll, func(m *placement.Manifest) {
-				node.ApplyManifest(m, cf.advertise)
-			})
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
-			}
-			closers = append(closers, func() error { w.Close(); return nil })
-			logger.Printf("watching placement manifest %s every %v (advertised as %s)", cf.manifest, cf.manifestPoll, cf.advertise)
-		}
-		logger.Printf("node %d/%d owns global shards %v", cf.nodeIndex, cf.clusterNodes, owned)
-		mux := http.NewServeMux()
-		mux.Handle("/shardrpc/", rpc)
-		mux.Handle("/", srv)
-		handler = mux
-
-	case "frontend":
-		if cf.peers == "" && cf.manifest == "" {
-			return errors.New("frontend needs -peers or -manifest")
-		}
-		var remote *shardrpc.Remote
-		var peerURLs []string
-		if cf.manifest != "" {
-			// Manifest-driven routing: shard -> primary + replicas with
-			// per-shard epochs, reloaded on file change (a promotion
-			// re-routes without a restart), plus the health-probing
-			// failure detector that fails reads over to replicas.
-			m, err := placement.Load(cf.manifest)
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
-			}
-			remote, err = shardrpc.NewRemoteFromManifest(m, cf.clusterToken, nil)
-			if err != nil {
-				return err
-			}
-			peerURLs = m.Nodes()
-			w, err := placement.Watch(cf.manifest, cf.manifestPoll, func(m *placement.Manifest) {
-				if err := remote.ApplyManifest(m); err != nil {
-					logger.Printf("placement manifest reload: %v", err)
-				}
-			})
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
-			}
-			closers = append(closers, func() error { w.Close(); return nil })
-			// A fenced write means a newer manifest exists somewhere:
-			// re-poll immediately instead of waiting out the interval.
-			remote.OnFenced(w.Poll)
-			remote.EnableFailover(shardrpc.FailoverOptions{ProbeInterval: cf.probeInterval})
-			closers = append(closers, remote.Close)
-			logger.Printf("watching placement manifest %s every %v (probe interval %v)", cf.manifest, cf.manifestPoll, cf.probeInterval)
-		} else {
-			var clients []*shardrpc.Client
-			for _, p := range strings.Split(cf.peers, ",") {
-				p = strings.TrimSpace(p)
-				if p == "" {
-					continue
-				}
-				peerURLs = append(peerURLs, p)
-				clients = append(clients, shardrpc.NewClient(p, cf.clusterToken, nil))
-			}
-			if len(clients) == 0 {
-				return errors.New("frontend needs at least one peer")
-			}
-			rr, err := shardrpc.NewRemoteRoundRobin(clients, cf.clusterShards)
-			if err != nil {
-				return err
-			}
-			remote = rr
-		}
-		if seedCatalog {
-			if err := seedStore(remote, logger); err != nil {
-				return err
-			}
-		}
-		scfg := server.Config{
-			Router:           remote,
-			Schedule:         core.DefaultSchedule(),
-			RequesterToken:   token,
-			Logger:           logger,
-			Role:             "frontend",
-			FrontendCacheTTL: cf.cacheTTL,
-			FrontendRefresh:  cf.cacheRefresh,
-		}
-		cf.admission(&scfg)
-		if cf.budgetEnforce != "off" {
-			chargeClients := make([]*shardrpc.Client, len(peerURLs))
-			for i, p := range peerURLs {
-				chargeClients[i] = shardrpc.NewClient(p, cf.clusterToken, nil)
-			}
-			charger, err := shardrpc.NewRemoteCharger(chargeClients, cf.clusterShards, cf.budgetConfig())
-			if err != nil {
-				return err
-			}
-			// Fuse charges into the submit RPC for workers whose budget
-			// shard is colocated with the response shard; the charger
-			// covers the rest (and refunds, peeks, stats).
-			if err := remote.EnablePiggybackCharges(cf.clusterShards); err != nil {
-				return err
-			}
-			scfg.Budget = charger
-			scfg.BudgetEnforce = cf.budgetEnforce
-			logger.Printf("privacy budget %s: charging %d budget shards across %d nodes, cap ε=%g at δ=%g",
-				cf.budgetEnforce, cf.clusterShards, len(peerURLs), cf.budgetCap, cf.budgetDelta)
-		}
-		srv, err := server.New(scfg)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, srv.Close)
-		if cf.cacheTTL < 0 {
-			logger.Printf("frontend routing %d shards across %d nodes (partial cache disabled)", cf.clusterShards, len(peerURLs))
-		} else {
-			logger.Printf("frontend routing %d shards across %d nodes (partial cache TTL %v, refresh %v)",
-				cf.clusterShards, len(peerURLs), cf.cacheTTL, cf.cacheRefresh)
-		}
-		handler = srv
-
-	case "replica":
-		if cf.follow == "" {
-			return errors.New("replica needs -follow")
-		}
-		if cf.manifest != "" && cf.advertise == "" {
-			return errors.New("replica with -manifest needs -advertise (its URL as the manifest names it)")
-		}
-		rep, err := server.NewReplica(server.ReplicaConfig{
-			Client:         shardrpc.NewClient(cf.follow, cf.clusterToken, nil),
-			Schedule:       core.DefaultSchedule(),
-			RequesterToken: token,
-			Logger:         logger,
-			PollInterval:   cf.pollInterval,
-			FollowerID:     cf.followerID,
-			JournalRetain:  cf.journalRetain,
-			ManifestPath:   cf.manifest,
-			SelfURL:        cf.advertise,
-			PromoteAfter:   cf.promoteAfter,
-		})
-		if err != nil {
-			return err
-		}
-		closers = append(closers, rep.Close)
-		// The replica serves shardrpc too: frontends fail reads over to
-		// it while its node is down, and after a promotion it is the
-		// shard's write path and its followers' tail source.
-		rpc, err := shardrpc.NewHandler(rep, cf.clusterToken)
-		if err != nil {
-			return err
-		}
-		if cf.manifest != "" {
-			w, err := placement.Watch(cf.manifest, cf.manifestPoll, rep.ApplyManifest)
-			if err != nil {
-				return fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
-			}
-			closers = append(closers, func() error { w.Close(); return nil })
-			logger.Printf("watching placement manifest %s every %v (advertised as %s)", cf.manifest, cf.manifestPoll, cf.advertise)
-		}
-		if cf.promoteAfter > 0 {
-			logger.Printf("replica tailing %s every %v (auto-promote after %v unreachable)", cf.follow, cf.pollInterval, cf.promoteAfter)
-		} else {
-			logger.Printf("replica tailing %s every %v", cf.follow, cf.pollInterval)
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/shardrpc/", rpc)
-		mux.Handle("/", rep)
-		handler = mux
-
-	default:
-		return fmt.Errorf("unknown role %q (standalone, node, frontend, replica)", cf.role)
 	}
+}
+
+// loadManifest loads the -manifest a node or frontend routes by.
+func loadManifest(cf clusterFlags) (*placement.Manifest, error) {
+	if cf.manifest == "" {
+		return nil, fmt.Errorf("%s needs -manifest", cf.role)
+	}
+	m, err := placement.Load(cf.manifest)
+	if err != nil {
+		return nil, fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
+	}
+	return m, nil
+}
+
+func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, storeCodec, checkpointDir string, checkpointEvery time.Duration, cf clusterFlags, logger *log.Logger) error {
+	rl, err := setupRole(storePath, token, seedCatalog, icfg, storeCodec, checkpointDir, checkpointEvery, cf, logger)
+	if err != nil {
+		return err
+	}
+	defer rl.close(logger)
 
 	httpSrv := &http.Server{
 		Addr:              addr,
-		Handler:           handler,
+		Handler:           rl.handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errCh := make(chan error, 1)
@@ -641,6 +345,304 @@ func run(addr, storePath, token string, seedCatalog bool, icfg ingest.Config, st
 		defer cancel()
 		return httpSrv.Shutdown(ctx)
 	}
+}
+
+// setupRole opens and wires the configured -role without listening. On
+// error, whatever it had opened is closed again.
+func setupRole(storePath, token string, seedCatalog bool, icfg ingest.Config, storeCodec, checkpointDir string, checkpointEvery time.Duration, cf clusterFlags, logger *log.Logger) (_ *role, err error) {
+	rl := &role{}
+	defer func() {
+		if err != nil {
+			rl.close(logger)
+		}
+	}()
+
+	switch cf.role {
+	case "standalone":
+		st, err := openStore(storePath, icfg, storeCodec)
+		if err != nil {
+			return nil, err
+		}
+		rl.closers = append(rl.closers, st.Close)
+		if seedCatalog {
+			if err := seedStore(st, logger); err != nil {
+				return nil, err
+			}
+		}
+		ckpt, err := openCheckpoints(checkpointDir, storeCodec, checkpointEvery, logger)
+		if err != nil {
+			return nil, err
+		}
+		if ckpt != nil {
+			rl.closers = append(rl.closers, ckpt.Close)
+		}
+		scfg := server.Config{
+			Store:              st,
+			Schedule:           core.DefaultSchedule(),
+			RequesterToken:     token,
+			Logger:             logger,
+			Checkpoints:        ckpt,
+			CheckpointInterval: checkpointEvery,
+		}
+		cf.admission(&scfg)
+		if cf.budgetEnabled() {
+			set, err := budget.NewSet(budget.SetOptions{
+				Shards: 1, Dir: cf.budgetDir, Config: cf.budgetConfig(),
+			})
+			if err != nil {
+				return nil, err
+			}
+			rl.closers = append(rl.closers, set.Close)
+			scfg.Budget = set
+			scfg.BudgetEnforce = cf.budgetEnforce
+			logger.Printf("privacy budget %s: cap ε=%g at δ=%g (ledger %s)",
+				cf.budgetEnforce, cf.budgetCap, cf.budgetDelta, budgetWhere(cf.budgetDir))
+		}
+		srv, err := server.New(scfg)
+		if err != nil {
+			return nil, err
+		}
+		rl.closers = append(rl.closers, srv.Close)
+		rl.handler = srv
+
+	case "node":
+		m, err := loadManifest(cf)
+		if err != nil {
+			return nil, err
+		}
+		if cf.advertise == "" {
+			return nil, errors.New("node needs -advertise (its URL as the manifest names it)")
+		}
+		// The node owns the shards the manifest makes it primary of. A
+		// URL that is primary of nothing is a mistyped -advertise (or a
+		// node whose shards were all promoted away): refuse to start
+		// rather than serve an empty shard set.
+		owned := m.PrimaryShards(cf.advertise)
+		if len(owned) == 0 {
+			return nil, fmt.Errorf("-advertise %s is primary of no shard in manifest %s", cf.advertise, cf.manifest)
+		}
+		clusterShards := len(m.Shards)
+		stores := make([]store.Store, len(owned))
+		for i, g := range owned {
+			st, err := openShardStore(storePath, icfg, storeCodec, g)
+			if err != nil {
+				return nil, err
+			}
+			rl.closers = append(rl.closers, st.Close)
+			stores[i] = st
+		}
+		local, err := shardset.NewLocal(stores, shardset.LocalOptions{
+			GlobalIDs: owned, Journal: true, JournalRetain: cf.journalRetain,
+			FollowerAckTTL: cf.followerAckTTL,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if seedCatalog {
+			if err := seedStore(local, logger); err != nil {
+				return nil, err
+			}
+		}
+		ckpt, err := openCheckpoints(checkpointDir, storeCodec, checkpointEvery, logger)
+		if err != nil {
+			return nil, err
+		}
+		if ckpt != nil {
+			rl.closers = append(rl.closers, ckpt.Close)
+		}
+		scfg := server.Config{
+			Router:             local,
+			Schedule:           core.DefaultSchedule(),
+			RequesterToken:     token,
+			Logger:             logger,
+			Checkpoints:        ckpt,
+			CheckpointInterval: checkpointEvery,
+			Role:               "node",
+			ClusterShards:      clusterShards,
+		}
+		cf.admission(&scfg)
+		var bset *budget.Set
+		if cf.budgetEnabled() {
+			// Budget shards lie round-robin over the manifest's primaries,
+			// the layout frontends charge by (shardrpc.RemoteCharger).
+			nodes := m.Nodes()
+			hosted := shardrpc.RoundRobinPlacement(clusterShards, len(nodes))[slices.Index(nodes, cf.advertise)]
+			bset, err = budget.NewSet(budget.SetOptions{
+				Shards: clusterShards, GlobalIDs: hosted, Dir: cf.budgetDir, Config: cf.budgetConfig(),
+			})
+			if err != nil {
+				return nil, err
+			}
+			rl.closers = append(rl.closers, bset.Close)
+			// The node's own public API enforces through its hosted
+			// subset; charges for workers on other nodes' shards are
+			// skipped here and enforced at the frontend.
+			scfg.Budget = bset
+			scfg.BudgetEnforce = cf.budgetEnforce
+			logger.Printf("privacy budget %s: hosting budget shards %v, cap ε=%g at δ=%g (ledger %s)",
+				cf.budgetEnforce, hosted, cf.budgetCap, cf.budgetDelta, budgetWhere(cf.budgetDir))
+		}
+		srv, err := server.New(scfg)
+		if err != nil {
+			return nil, err
+		}
+		rl.closers = append(rl.closers, srv.Close)
+		node, err := server.NewNode(srv, clusterShards)
+		if err != nil {
+			return nil, err
+		}
+		if bset != nil {
+			node.HostBudget(bset)
+		}
+		rpc, err := shardrpc.NewHandler(node, cf.clusterToken)
+		if err != nil {
+			return nil, err
+		}
+		w, err := placement.Watch(cf.manifest, cf.manifestPoll, func(m *placement.Manifest) {
+			node.ApplyManifest(m, cf.advertise)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
+		}
+		rl.closers = append(rl.closers, func() error { w.Close(); return nil })
+		logger.Printf("node %s owns global shards %v of %d (manifest %s, watched every %v)",
+			cf.advertise, owned, clusterShards, cf.manifest, cf.manifestPoll)
+		mux := http.NewServeMux()
+		mux.Handle("/shardrpc/", rpc)
+		mux.Handle("/", srv)
+		rl.handler = mux
+
+	case "frontend":
+		// Shard -> primary + replicas with per-shard epochs, reloaded on
+		// file change (a promotion re-routes without a restart), plus the
+		// health-probing failure detector that fails reads over to
+		// replicas.
+		m, err := loadManifest(cf)
+		if err != nil {
+			return nil, err
+		}
+		clusterShards := len(m.Shards)
+		remote, err := shardrpc.NewRemoteFromManifest(m, cf.clusterToken, nil)
+		if err != nil {
+			return nil, err
+		}
+		nodes := m.Nodes()
+		w, err := placement.Watch(cf.manifest, cf.manifestPoll, func(m *placement.Manifest) {
+			if err := remote.ApplyManifest(m); err != nil {
+				logger.Printf("placement manifest reload: %v", err)
+			}
+		})
+		if err != nil {
+			return nil, fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
+		}
+		rl.closers = append(rl.closers, func() error { w.Close(); return nil })
+		// A fenced write means a newer manifest exists somewhere:
+		// re-poll immediately instead of waiting out the interval.
+		remote.OnFenced(w.Poll)
+		remote.EnableFailover(shardrpc.FailoverOptions{ProbeInterval: cf.probeInterval})
+		rl.closers = append(rl.closers, remote.Close)
+		logger.Printf("watching placement manifest %s every %v (probe interval %v)", cf.manifest, cf.manifestPoll, cf.probeInterval)
+		if seedCatalog {
+			if err := seedStore(remote, logger); err != nil {
+				return nil, err
+			}
+		}
+		scfg := server.Config{
+			Router:           remote,
+			Schedule:         core.DefaultSchedule(),
+			RequesterToken:   token,
+			Logger:           logger,
+			Role:             "frontend",
+			FrontendCacheTTL: cf.cacheTTL,
+			FrontendRefresh:  cf.cacheRefresh,
+		}
+		cf.admission(&scfg)
+		if cf.budgetEnforce != "off" {
+			chargeClients := make([]*shardrpc.Client, len(nodes))
+			for i, u := range nodes {
+				chargeClients[i] = shardrpc.NewClient(u, cf.clusterToken, nil)
+			}
+			charger, err := shardrpc.NewRemoteCharger(chargeClients, clusterShards, cf.budgetConfig())
+			if err != nil {
+				return nil, err
+			}
+			// Fuse charges into the submit RPC for workers whose budget
+			// shard is colocated with the response shard; the charger
+			// covers the rest (and refunds, peeks, stats).
+			if err := remote.EnablePiggybackCharges(clusterShards); err != nil {
+				return nil, err
+			}
+			scfg.Budget = charger
+			scfg.BudgetEnforce = cf.budgetEnforce
+			logger.Printf("privacy budget %s: charging %d budget shards across %d nodes, cap ε=%g at δ=%g",
+				cf.budgetEnforce, clusterShards, len(nodes), cf.budgetCap, cf.budgetDelta)
+		}
+		srv, err := server.New(scfg)
+		if err != nil {
+			return nil, err
+		}
+		rl.closers = append(rl.closers, srv.Close)
+		if cf.cacheTTL < 0 {
+			logger.Printf("frontend routing %d shards across %d nodes (partial cache disabled)", clusterShards, len(nodes))
+		} else {
+			logger.Printf("frontend routing %d shards across %d nodes (partial cache TTL %v, refresh %v)",
+				clusterShards, len(nodes), cf.cacheTTL, cf.cacheRefresh)
+		}
+		rl.handler = srv
+
+	case "replica":
+		if cf.follow == "" {
+			return nil, errors.New("replica needs -follow")
+		}
+		if cf.manifest != "" && cf.advertise == "" {
+			return nil, errors.New("replica with -manifest needs -advertise (its URL as the manifest names it)")
+		}
+		rep, err := server.NewReplica(server.ReplicaConfig{
+			Client:         shardrpc.NewClient(cf.follow, cf.clusterToken, nil),
+			Schedule:       core.DefaultSchedule(),
+			RequesterToken: token,
+			Logger:         logger,
+			PollInterval:   cf.pollInterval,
+			FollowerID:     cf.followerID,
+			JournalRetain:  cf.journalRetain,
+			ManifestPath:   cf.manifest,
+			SelfURL:        cf.advertise,
+			PromoteAfter:   cf.promoteAfter,
+		})
+		if err != nil {
+			return nil, err
+		}
+		rl.closers = append(rl.closers, rep.Close)
+		// The replica serves shardrpc too: frontends fail reads over to
+		// it while its node is down, and after a promotion it is the
+		// shard's write path and its followers' tail source.
+		rpc, err := shardrpc.NewHandler(rep, cf.clusterToken)
+		if err != nil {
+			return nil, err
+		}
+		if cf.manifest != "" {
+			w, err := placement.Watch(cf.manifest, cf.manifestPoll, rep.ApplyManifest)
+			if err != nil {
+				return nil, fmt.Errorf("placement manifest %s: %w", cf.manifest, err)
+			}
+			rl.closers = append(rl.closers, func() error { w.Close(); return nil })
+			logger.Printf("watching placement manifest %s every %v (advertised as %s)", cf.manifest, cf.manifestPoll, cf.advertise)
+		}
+		if cf.promoteAfter > 0 {
+			logger.Printf("replica tailing %s every %v (auto-promote after %v unreachable)", cf.follow, cf.pollInterval, cf.promoteAfter)
+		} else {
+			logger.Printf("replica tailing %s every %v", cf.follow, cf.pollInterval)
+		}
+		mux := http.NewServeMux()
+		mux.Handle("/shardrpc/", rpc)
+		mux.Handle("/", rep)
+		rl.handler = mux
+
+	default:
+		return nil, fmt.Errorf("unknown role %q (standalone, node, frontend, replica)", cf.role)
+	}
+
+	return rl, nil
 }
 
 // seedStore publishes the paper's survey catalog, skipping surveys that

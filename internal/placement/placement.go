@@ -1,11 +1,11 @@
 // Package placement is the cluster's shared placement manifest: a
 // versioned JSON document mapping every global shard to the node that
 // owns its writes (the primary), the replicas that tail it, and a
-// per-shard fencing epoch. It replaces positional -peers as the
-// placement source of truth — every role loads the same file (or
-// fetches it from a peer's admin surface), frontends hot-reload it
-// through a Watcher, and a failover is one atomic rewrite: bump the
-// shard's epoch, swap the primary, bump the manifest version.
+// per-shard fencing epoch. It is the cluster's only placement source:
+// a node owns the shards it is primary of, a frontend routes by it,
+// every role hot-reloads it through a Watcher, and a failover is one
+// atomic rewrite: bump the shard's epoch, swap the primary, bump the
+// manifest version.
 //
 // The epoch is the write fence. A frontend stamps every submit with the
 // epoch of the shard it is routing to; a node compares the stamp
@@ -49,10 +49,9 @@ type Manifest struct {
 }
 
 // RoundRobin builds the canonical first manifest: totalShards spread
-// round-robin across the nodes (shard i on node i mod n, the same
-// layout shardrpc.RoundRobinPlacement and -node-index ownership use),
-// every epoch 1, version 1, no replicas. Callers attach replicas and
-// Save.
+// round-robin across the nodes (shard i on node i mod n), every epoch
+// 1, version 1, no replicas. Callers attach replicas and Save, or hand
+// it to a router in memory.
 func RoundRobin(totalShards int, nodes []string) (*Manifest, error) {
 	if totalShards < 1 {
 		return nil, fmt.Errorf("placement: total shards %d < 1", totalShards)
@@ -110,9 +109,9 @@ func (m *Manifest) Placement(shard int) *ShardPlacement {
 }
 
 // Nodes returns every distinct primary base URL, in first-appearance
-// order over ascending shard index — for a round-robin manifest that is
-// node-index order, which keeps derived placements (budget shards)
-// agreeing with the nodes' own ownership computation.
+// order over ascending shard index — for a round-robin manifest the
+// order the nodes were given in. Derived placements (budget shards) are
+// laid over this list, so every role that derives one agrees.
 func (m *Manifest) Nodes() []string {
 	rows := append([]ShardPlacement(nil), m.Shards...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Shard < rows[j].Shard })
@@ -124,6 +123,19 @@ func (m *Manifest) Nodes() []string {
 			out = append(out, p)
 		}
 	}
+	return out
+}
+
+// PrimaryShards returns, ascending, the shards whose primary is node:
+// the shards a node with that base URL owns.
+func (m *Manifest) PrimaryShards(node string) []int {
+	var out []int
+	for i := range m.Shards {
+		if m.Shards[i].Primary == node {
+			out = append(out, m.Shards[i].Shard)
+		}
+	}
+	sort.Ints(out)
 	return out
 }
 

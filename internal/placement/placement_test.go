@@ -44,6 +44,25 @@ func TestRoundRobin(t *testing.T) {
 	}
 }
 
+// TestPrimaryShards: a node owns exactly the shards it is primary of,
+// ascending; a promotion moves the shard, and an unknown URL owns none.
+func TestPrimaryShards(t *testing.T) {
+	m, _ := RoundRobin(5, []string{"http://a", "http://b"})
+	m.Shards[0], m.Shards[3] = m.Shards[3], m.Shards[0] // row order is not shard order
+	if got := m.PrimaryShards("http://a"); !reflect.DeepEqual(got, []int{0, 2, 4}) {
+		t.Fatalf("a owns %v", got)
+	}
+	if _, err := m.Promote(1, "http://a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.PrimaryShards("http://a"); !reflect.DeepEqual(got, []int{0, 1, 2, 4}) {
+		t.Fatalf("a owns %v after promotion", got)
+	}
+	if got := m.PrimaryShards("http://c"); len(got) != 0 {
+		t.Fatalf("unknown node owns %v", got)
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	base := func() *Manifest {
 		m, _ := RoundRobin(3, []string{"http://a"})

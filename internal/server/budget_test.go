@@ -111,10 +111,7 @@ func newBudgetCluster(t *testing.T, nodes, totalShards, frontends int, mode stri
 	}
 	fts := make([]*httptest.Server, frontends)
 	for f := 0; f < frontends; f++ {
-		remote, err := shardrpc.NewRemoteRoundRobin(clients, totalShards)
-		if err != nil {
-			t.Fatal(err)
-		}
+		remote := newTestRemote(t, clients, totalShards)
 		charger, err := shardrpc.NewRemoteCharger(clients, totalShards, budgetTestConfig(t))
 		if err != nil {
 			t.Fatal(err)

@@ -252,12 +252,12 @@ func (n *Node) Demoted(global int) bool {
 
 // CheckFence implements shardrpc.FencedBackend: the epoch gate every
 // submit passes before admission, charging, or appending. A demoted
-// shard fences everything (stamped or not); a primary shard fences
-// stamps older than the manifest the node has applied; an unstamped
-// write to a primary shard passes (legacy positional senders). Stamps
-// NEWER than the node's manifest pass too — the sender read a manifest
-// the node has not seen yet, under which the node is still primary (or
-// the frontend would not have routed here).
+// shard fences everything; a primary shard fences stamps older than
+// the manifest the node has applied — an unstamped (epoch 0) write
+// included, since every router write is stamped. Stamps NEWER than
+// the node's manifest pass too — the sender read a manifest the node
+// has not seen yet, under which the node is still primary (or the
+// frontend would not have routed here).
 func (n *Node) CheckFence(global int, epoch uint64) error {
 	if _, err := n.localShard(global); err != nil {
 		return err
@@ -271,7 +271,7 @@ func (n *Node) CheckFence(global int, epoch uint64) error {
 	if f.demoted {
 		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: f.epoch}
 	}
-	if epoch != 0 && epoch < f.epoch {
+	if epoch < f.epoch {
 		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: f.epoch}
 	}
 	return nil
@@ -1412,8 +1412,8 @@ var _ shardrpc.Backend = (*Replica)(nil)
 
 // CheckFence implements shardrpc.FencedBackend: every write bounces
 // until promotion; after it, stamps older than the promotion epoch
-// bounce (a frontend still routing by the pre-failover manifest), and
-// unstamped or newer stamps pass.
+// bounce (a frontend still routing by the pre-failover manifest, or an
+// unstamped write), and the promotion epoch or newer passes.
 func (r *Replica) CheckFence(global int, epoch uint64) error {
 	i, err := r.localShard(global)
 	if err != nil {
@@ -1426,7 +1426,7 @@ func (r *Replica) CheckFence(global int, epoch uint64) error {
 	if !promoted {
 		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: fence}
 	}
-	if epoch != 0 && epoch < fence {
+	if epoch < fence {
 		return &shardrpc.FencedError{Shard: global, Epoch: epoch, Current: fence}
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 
 	"loki/internal/checkpoint"
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/shardrpc"
 	"loki/internal/shardset"
 	"loki/internal/store"
@@ -229,10 +230,7 @@ func newTestNodes(t *testing.T, nodes, totalShards, journalRetain int) []*shardr
 // matching Config semantics).
 func newTestFrontend(t *testing.T, clients []*shardrpc.Client, totalShards int, cacheTTL, refresh time.Duration) (*httptest.Server, *shardrpc.Remote, *Server) {
 	t.Helper()
-	remote, err := shardrpc.NewRemoteRoundRobin(clients, totalShards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	remote := newTestRemote(t, clients, totalShards)
 	frontend, err := New(Config{
 		Router: remote, Schedule: core.DefaultSchedule(), RequesterToken: testToken, Role: "frontend",
 		FrontendCacheTTL: cacheTTL, FrontendRefresh: refresh,
@@ -244,6 +242,26 @@ func newTestFrontend(t *testing.T, clients []*shardrpc.Client, totalShards int, 
 	fts := httptest.NewServer(frontend)
 	t.Cleanup(fts.Close)
 	return fts, remote, frontend
+}
+
+// newTestRemote routes totalShards round-robin over the node clients
+// through an in-memory placement manifest, as a frontend does.
+func newTestRemote(t *testing.T, clients []*shardrpc.Client, totalShards int) *shardrpc.Remote {
+	t.Helper()
+	urls := make([]string, len(clients))
+	for i, c := range clients {
+		urls[i] = c.BaseURL()
+	}
+	m, err := placement.RoundRobin(totalShards, urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := shardrpc.NewRemoteFromManifest(m, testToken, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close() })
+	return remote
 }
 
 // newTestCluster spins nodes (shardrpc over real HTTP) and a frontend

@@ -449,6 +449,12 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	}
 	rep.SyncOnce()
 
+	// Every router write carries its shard's epoch, so an unstamped
+	// write is stale even at the shard's own primary.
+	if _, err := nodes[0].client.SubmitFenced(0, 0, []survey.Response{*randomResponse(sv, rand.New(rand.NewSource(1)), 8000)}, nil); !errors.Is(err, shardrpc.ErrFenced) {
+		t.Fatalf("primary accepted an unstamped write: %v", err)
+	}
+
 	// The primary dies; the first failing cycle starts the lease clock.
 	nodes[0].kill()
 	rep.SyncOnce()
@@ -456,7 +462,8 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 		t.Fatalf("promoted before the lease expired: %+v", got.Shards)
 	}
 
-	// Writers race the promotion: fenced until the flip, accepted after.
+	// Writers race the promotion stamping the promotion epoch: fenced
+	// until the flip, accepted after.
 	repClient := shardrpc.NewClient(repURL, testToken, nil)
 	var fenced, accepted atomic.Int64
 	stopWriters := make(chan struct{})
@@ -472,7 +479,7 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 				default:
 				}
 				r := randomResponse(sv, rand.New(rand.NewSource(int64(100+w))), w*100000+i)
-				_, err := repClient.SubmitFenced(shardset.Route(sv.ID, r.WorkerID, totalShards), 0, []survey.Response{*r}, nil)
+				_, err := repClient.SubmitFenced(shardset.Route(sv.ID, r.WorkerID, totalShards), 2, []survey.Response{*r}, nil)
 				switch {
 				case err == nil:
 					accepted.Add(1)
@@ -491,6 +498,9 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	for s := 0; s < totalShards; s++ {
 		if _, err := repClient.SubmitFenced(s, 2, []survey.Response{*randomResponse(sv, rng, 9000+s)}, nil); err != nil {
 			t.Fatalf("post-promotion write to shard %d: %v", s, err)
+		}
+		if _, err := repClient.SubmitFenced(s, 0, []survey.Response{*randomResponse(sv, rng, 9100+s)}, nil); !errors.Is(err, shardrpc.ErrFenced) {
+			t.Fatalf("promoted replica accepted an unstamped write to shard %d: %v", s, err)
 		}
 	}
 	close(stopWriters)
@@ -512,8 +522,8 @@ func TestPromotionRaceOldPrimaryFenced(t *testing.T) {
 	// The old primary returns, loads the current manifest (what its
 	// watcher does before it serves), and demotes cleanly: every write
 	// bounces off the fence — the stale epoch-1 stamp a pre-failover
-	// frontend would send, the unstamped legacy form, and even a fresh
-	// epoch-2 stamp, because a demoted shard holds no writes at all.
+	// frontend would send, an unstamped one, and even a fresh epoch-2
+	// stamp, because a demoted shard holds no writes at all.
 	nodes[0].revive()
 	nodes[0].node.ApplyManifest(m2, nodes[0].url)
 	for s := 0; s < totalShards; s++ {

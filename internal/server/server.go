@@ -1661,8 +1661,7 @@ type HealthInfo struct {
 func (s *Server) setShardHealth(hs []ShardHealth) { s.shardHealth.Store(hs) }
 
 // failoverReporter is the optional router capability behind the
-// frontend health view (shardrpc.Remote implements it once a manifest
-// is applied).
+// frontend health view (shardrpc.Remote implements it).
 type failoverReporter interface {
 	FailoverInfo() *shardrpc.FailoverInfo
 }
@@ -1685,27 +1684,26 @@ func (s *Server) handleAdminHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 	default:
 		if fr, ok := s.router.(failoverReporter); ok {
-			if fi := fr.FailoverInfo(); fi != nil {
-				// Frontend: the routing table as the failure detector sees
-				// it.
-				info.ManifestVersion = fi.ManifestVersion
-				info.StaleReads = fi.StaleReads
-				info.FencedWrites = fi.FencedWrites
-				for _, sh := range fi.Shards {
-					role := "primary"
-					if sh.PrimaryDown {
-						role = "failed-over"
-					}
-					info.Shards = append(info.Shards, ShardHealth{
-						Shard:       sh.Shard,
-						Role:        role,
-						Epoch:       sh.Epoch,
-						PrimaryDown: sh.PrimaryDown,
-						LastError:   sh.LastError,
-					})
+			fi := fr.FailoverInfo()
+			// Frontend: the routing table as the failure detector sees
+			// it.
+			info.ManifestVersion = fi.ManifestVersion
+			info.StaleReads = fi.StaleReads
+			info.FencedWrites = fi.FencedWrites
+			for _, sh := range fi.Shards {
+				role := "primary"
+				if sh.PrimaryDown {
+					role = "failed-over"
 				}
-				break
+				info.Shards = append(info.Shards, ShardHealth{
+					Shard:       sh.Shard,
+					Role:        role,
+					Epoch:       sh.Epoch,
+					PrimaryDown: sh.PrimaryDown,
+					LastError:   sh.LastError,
+				})
 			}
+			break
 		}
 		if hs, ok := s.shardHealth.Load().([]ShardHealth); ok {
 			// Node with a manifest applied: fence state per owned shard.

@@ -163,15 +163,28 @@ func (c *Client) BudgetStats() ([]budget.ShardStats, error) {
 // The Config it reports is the frontend's flag-derived copy for the
 // admin surface; the owning shard's own config decides accept/reject.
 type RemoteCharger struct {
-	cfg       budget.Config
-	clients   []*Client
-	placement []int // placement[budgetShard] = index into clients
-	batchers  []*budgetBatcher
+	cfg     budget.Config
+	clients []*Client
+	// batchers has one entry per budget shard, bound to its host.
+	batchers []*budgetBatcher
 }
 
-// NewRemoteCharger builds a remote charger over one client per node
-// with the canonical round-robin placement — the same layout nodes
-// compute their budget shard ownership with.
+// budgetHosts lays budget shards round-robin over the given nodes (a
+// manifest's primaries, in Manifest.Nodes order): hosts[s] serves
+// budget shard s. RemoteCharger, piggybacked charges and the nodes'
+// own hosting all use this layout.
+func budgetHosts(totalShards int, nodes []*Client) []*Client {
+	hosts := make([]*Client, totalShards)
+	for node, owned := range RoundRobinPlacement(totalShards, len(nodes)) {
+		for _, s := range owned {
+			hosts[s] = nodes[node]
+		}
+	}
+	return hosts
+}
+
+// NewRemoteCharger builds a remote charger over one client per node,
+// in Manifest.Nodes order, with budget shards laid out by budgetHosts.
 func NewRemoteCharger(clients []*Client, totalShards int, cfg budget.Config) (*RemoteCharger, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("shardrpc: remote charger needs at least one node client")
@@ -182,16 +195,9 @@ func NewRemoteCharger(clients []*Client, totalShards int, cfg budget.Config) (*R
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	placement := make([]int, totalShards)
-	for node, owned := range RoundRobinPlacement(totalShards, len(clients)) {
-		for _, s := range owned {
-			placement[s] = node
-		}
-	}
-	r := &RemoteCharger{cfg: cfg, clients: clients, placement: placement}
-	r.batchers = make([]*budgetBatcher, totalShards)
-	for s := range r.batchers {
-		r.batchers[s] = &budgetBatcher{shard: s, client: clients[placement[s]]}
+	r := &RemoteCharger{cfg: cfg, clients: clients, batchers: make([]*budgetBatcher, totalShards)}
+	for s, host := range budgetHosts(totalShards, clients) {
+		r.batchers[s] = &budgetBatcher{shard: s, client: host}
 	}
 	return r, nil
 }
@@ -200,24 +206,29 @@ func NewRemoteCharger(clients []*Client, totalShards int, cfg budget.Config) (*R
 func (r *RemoteCharger) Config() budget.Config { return r.cfg }
 
 // Shards implements budget.Charger.
-func (r *RemoteCharger) Shards() int { return len(r.placement) }
+func (r *RemoteCharger) Shards() int { return len(r.batchers) }
+
+// batcherFor returns the batcher of workerID's budget shard.
+func (r *RemoteCharger) batcherFor(workerID string) *budgetBatcher {
+	return r.batchers[budget.Route(workerID, len(r.batchers))]
+}
 
 // Charge implements budget.Charger through the shard's group batcher.
 func (r *RemoteCharger) Charge(c budget.Charge) (budget.Outcome, error) {
-	return r.batchers[budget.Route(c.WorkerID, len(r.placement))].charge(c)
+	return r.batcherFor(c.WorkerID).charge(c)
 }
 
 // Refund implements budget.Charger. Refunds are rare (they compensate
 // failed appends), so they ship directly rather than batching.
 func (r *RemoteCharger) Refund(c budget.Charge) error {
-	shard := budget.Route(c.WorkerID, len(r.placement))
-	return r.clients[r.placement[shard]].BudgetRefund(shard, c)
+	b := r.batcherFor(c.WorkerID)
+	return b.client.BudgetRefund(b.shard, c)
 }
 
 // Peek implements budget.Charger.
 func (r *RemoteCharger) Peek(workerID string) (budget.Account, error) {
-	shard := budget.Route(workerID, len(r.placement))
-	return r.clients[r.placement[shard]].BudgetPeek(shard, workerID)
+	b := r.batcherFor(workerID)
+	return b.client.BudgetPeek(b.shard, workerID)
 }
 
 // Stats implements budget.Charger: every node's hosted shards,

@@ -187,22 +187,13 @@ func (c *Client) Meta() (*Meta, error) {
 	return &m, nil
 }
 
-// Submit appends a routed batch to one global shard.
-func (c *Client) Submit(shard int, responses []survey.Response) (*SubmitResult, error) {
-	return c.SubmitCharged(shard, responses, nil)
-}
-
-// SubmitCharged appends a routed batch with piggybacked budget charges
-// (aligned 1:1 with responses; an empty worker id carries no charge) —
-// see ChargedBackend for the node-side contract.
-func (c *Client) SubmitCharged(shard int, responses []survey.Response, charges []budget.Charge) (*SubmitResult, error) {
-	return c.SubmitFenced(shard, 0, responses, charges)
-}
-
-// SubmitFenced is SubmitCharged with a placement-epoch stamp: the
-// fencing token a manifest-routed frontend sends so a node that has
-// applied a newer manifest refuses the batch (412 → ErrFenced) instead
-// of appending under stale ownership. Epoch 0 sends an unstamped batch.
+// SubmitFenced appends a routed batch to one global shard, stamped
+// with the shard's placement epoch: the fencing token a node compares
+// against the newest manifest it has applied, refusing a stale stamp
+// (412 → ErrFenced) instead of appending under stale ownership.
+// charges, when non-nil, piggyback budget debits aligned 1:1 with
+// responses (an empty worker id carries no charge) — see ChargedBackend
+// for the node-side contract.
 func (c *Client) SubmitFenced(shard int, epoch uint64, responses []survey.Response, charges []budget.Charge) (*SubmitResult, error) {
 	var res SubmitResult
 	err := c.do(http.MethodPost, "/shardrpc/v1/submit", nil,

@@ -21,12 +21,9 @@ import (
 // shardRoute is one shard's resolved routing row: clients instead of
 // URLs, plus the manifest epoch every write is stamped with.
 type shardRoute struct {
-	primary *Client
-	// primaryIdx is primary's index in Remote.clients — kept so the
-	// budget-colocation test keeps working under manifest routing.
-	primaryIdx int
-	replicas   []*Client
-	epoch      uint64
+	primary  *Client
+	replicas []*Client
+	epoch    uint64
 }
 
 // nodeHealth is the failure detector's per-node belief: down nodes are
@@ -53,33 +50,24 @@ type FailoverOptions struct {
 	ProbePath string
 }
 
-// NewRemoteFromManifest builds the manifest-routed Remote: one client
-// per distinct primary (in first-appearance order over ascending shard
-// index, so derived placements agree with positional layouts), replica
-// clients for read failover, and epoch stamps on every submit. Later
-// manifests hot-swap the routing through ApplyManifest.
+// NewRemoteFromManifest builds the Remote over a placement manifest:
+// one client per node the manifest names (primaries first, in
+// Manifest.Nodes order), replica clients for read failover, and epoch
+// stamps on every submit. Later manifests hot-swap the routing through
+// ApplyManifest. The shard count is the manifest's, fixed for the
+// router's lifetime.
 func NewRemoteFromManifest(m *placement.Manifest, token string, httpClient *http.Client) (*Remote, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	nodes := m.Nodes()
-	clients := make([]*Client, len(nodes))
-	nodeIdx := make(map[string]int, len(nodes))
-	for i, u := range nodes {
-		clients[i] = NewClient(u, token, httpClient)
-		nodeIdx[u] = i
+	r := &Remote{metaTTL: time.Second, token: token, httpc: httpClient, clientsByURL: make(map[string]*Client)}
+	for _, u := range m.Nodes() {
+		r.primaries = append(r.primaries, r.clientForURLLocked(u))
 	}
-	pl := make([]int, len(m.Shards))
-	for i := range m.Shards {
-		sp := &m.Shards[i]
-		pl[sp.Shard] = nodeIdx[sp.Primary]
+	r.batchers = make([]*shardBatcher, len(m.Shards))
+	for s := range r.batchers {
+		r.batchers[s] = newShardBatcher(s, r)
 	}
-	r, err := NewRemote(clients, pl)
-	if err != nil {
-		return nil, err
-	}
-	r.token = token
-	r.httpc = httpClient
 	if err := r.ApplyManifest(m); err != nil {
 		return nil, err
 	}
@@ -91,9 +79,7 @@ func NewRemoteFromManifest(m *placement.Manifest, token string, httpClient *http
 // epoch stamp change atomically under the route lock, and the next
 // batch each shard's batcher ships resolves the new target. Manifests
 // at or below the applied version are ignored (watcher redelivery,
-// stale files). Unknown node URLs get clients lazily; that needs the
-// token NewRemoteFromManifest recorded — a positional NewRemote router
-// cannot apply manifests naming nodes it has no client for.
+// stale files); node URLs seen for the first time get clients lazily.
 func (r *Remote) ApplyManifest(m *placement.Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -103,28 +89,17 @@ func (r *Remote) ApplyManifest(m *placement.Manifest) error {
 	if m.Version <= r.manifestVersion {
 		return nil
 	}
-	if len(m.Shards) != len(r.placement) {
-		return fmt.Errorf("shardrpc: manifest has %d shards, router has %d", len(m.Shards), len(r.placement))
+	if len(m.Shards) != r.Shards() {
+		return fmt.Errorf("shardrpc: manifest has %d shards, router has %d", len(m.Shards), r.Shards())
 	}
-	routes := make([]shardRoute, len(r.placement))
+	routes := make([]shardRoute, len(m.Shards))
 	for i := range m.Shards {
 		sp := &m.Shards[i]
-		pc, pidx, err := r.clientForURLLocked(sp.Primary)
-		if err != nil {
-			return err
-		}
-		rt := shardRoute{primary: pc, primaryIdx: pidx, epoch: sp.Epoch}
+		rt := shardRoute{primary: r.clientForURLLocked(sp.Primary), epoch: sp.Epoch}
 		for _, ru := range sp.Replicas {
-			rc, _, err := r.clientForURLLocked(ru)
-			if err != nil {
-				return err
-			}
-			rt.replicas = append(rt.replicas, rc)
+			rt.replicas = append(rt.replicas, r.clientForURLLocked(ru))
 		}
 		routes[sp.Shard] = rt
-	}
-	for s := range routes {
-		r.placement[s] = routes[s].primaryIdx
 	}
 	r.routes = routes
 	r.manifestVersion = m.Version
@@ -132,48 +107,29 @@ func (r *Remote) ApplyManifest(m *placement.Manifest) error {
 }
 
 // clientForURLLocked returns (creating if needed) the client for a node
-// base URL. Caller holds routeMu.
-func (r *Remote) clientForURLLocked(url string) (*Client, int, error) {
-	if r.clientsByURL == nil {
-		r.clientsByURL = make(map[string]*Client, len(r.clients))
-		for i, c := range r.clients {
-			r.clientsByURL[c.BaseURL()] = c
-			_ = i
-		}
-	}
+// base URL. Caller holds routeMu (or is the constructor).
+func (r *Remote) clientForURLLocked(url string) *Client {
 	if c, ok := r.clientsByURL[url]; ok {
-		for i, rc := range r.clients {
-			if rc == c {
-				return c, i, nil
-			}
-		}
-	}
-	if r.token == "" {
-		return nil, 0, fmt.Errorf("shardrpc: manifest names unknown node %q and the router has no cluster token to dial it", url)
+		return c
 	}
 	c := NewClient(url, r.token, r.httpc)
 	r.clients = append(r.clients, c)
 	r.clientsByURL[url] = c
-	return c, len(r.clients) - 1, nil
+	return c
 }
 
-// ManifestVersion reports the applied manifest version (0 = positional
-// routing, no manifest).
+// ManifestVersion reports the applied manifest version.
 func (r *Remote) ManifestVersion() int64 {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
 	return r.manifestVersion
 }
 
-// routeFor snapshots one shard's route; ok is false under positional
-// routing (no manifest applied).
-func (r *Remote) routeFor(shard int) (shardRoute, bool) {
+// routeFor snapshots one shard's route; the caller has bounded shard.
+func (r *Remote) routeFor(shard int) shardRoute {
 	r.routeMu.RLock()
 	defer r.routeMu.RUnlock()
-	if r.routes == nil || shard < 0 || shard >= len(r.routes) {
-		return shardRoute{}, false
-	}
-	return r.routes[shard], true
+	return r.routes[shard]
 }
 
 // allClients snapshots the client list for broadcasts and meta
@@ -245,18 +201,13 @@ func (r *Remote) noteResult(c *Client, err error) {
 
 // submitTarget resolves where one shard's next write batch goes: the
 // manifest primary with its epoch stamp, refused with FailoverError
-// while the primary is believed down (promotion will swap the manifest
-// and the next resolution lands on the new primary). Positional routers
-// keep the original fixed binding with an unstamped epoch.
+// while the primary is believed down and a replica could be promoted
+// (promotion will swap the manifest and the next resolution lands on
+// the new primary). A shard with no replica has nothing to fail over
+// to, so its writes keep going to the primary — like its reads.
 func (r *Remote) submitTarget(shard int) (*Client, uint64, error) {
-	rt, ok := r.routeFor(shard)
-	if !ok {
-		r.routeMu.RLock()
-		c := r.clients[r.placement[shard]]
-		r.routeMu.RUnlock()
-		return c, 0, nil
-	}
-	if r.nodeDown(rt.primary.BaseURL()) {
+	rt := r.routeFor(shard)
+	if len(rt.replicas) > 0 && r.nodeDown(rt.primary.BaseURL()) {
 		return nil, 0, &FailoverError{Shard: shard}
 	}
 	return rt.primary, rt.epoch, nil
@@ -357,16 +308,12 @@ type FailoverInfo struct {
 	Shards          []ShardRouteInfo `json:"shards,omitempty"`
 }
 
-// FailoverInfo snapshots the failover state; nil under positional
-// routing (no manifest applied).
+// FailoverInfo snapshots the failover state.
 func (r *Remote) FailoverInfo() *FailoverInfo {
 	r.routeMu.RLock()
 	routes := r.routes
 	version := r.manifestVersion
 	r.routeMu.RUnlock()
-	if routes == nil {
-		return nil
-	}
 	info := &FailoverInfo{
 		ManifestVersion: version,
 		StaleReads:      r.staleReads.Load(),

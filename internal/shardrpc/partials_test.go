@@ -190,13 +190,9 @@ func (f fencedPartials) PartialState(shard int, surveyID string, have uint64) (*
 // failure, so the frontend fails the read instead of degrading it.
 func TestPartialsAnsweredErrors(t *testing.T) {
 	// The node owns shards 0 and 1 of 3 and fences shard 1; the
-	// positional placement wrongly sends shard 2 to it as well.
+	// manifest wrongly names it primary of shard 2 as well.
 	n := newWireNode(t, []int{0, 1}, 3, func(b Backend) Backend { return fencedPartials{Backend: b, shard: 1} })
-	remote, err := NewRemote([]*Client{n.client}, []int{0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
+	remote := manifestRemote(t, 3, []*wireNode{n})
 	if err := remote.PutSurvey(rpcSurvey("sv")); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +244,7 @@ func TestPartialsReplicaFailover(t *testing.T) {
 		if _, err := remote.AppendShard(s, &r); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rep.client.Submit(s, []survey.Response{r}); err != nil {
+		if _, err := rep.client.SubmitFenced(s, 0, []survey.Response{r}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

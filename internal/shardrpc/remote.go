@@ -15,9 +15,9 @@ import (
 )
 
 // Remote is the cluster-side shardset.ShardRouter: every shard-addressed
-// call is forwarded to the node owning that global shard, survey
-// metadata broadcasts to every node. It is what a frontend hands the
-// server instead of a local store.
+// call is forwarded to the shard's primary as the placement manifest
+// names it, survey metadata broadcasts to every node. It is what a
+// frontend hands the server instead of a local store.
 //
 // Survey definitions are read-heavy (every submit resolves one), so
 // Remote keeps a short-TTL read-through cache; publishes and
@@ -26,18 +26,17 @@ import (
 // publishing directly to a node), which nodes tolerate anyway — they
 // re-validate every append.
 type Remote struct {
-	// clients and placement are guarded by routeMu: manifest application
-	// can grow the client list (new replicas/primaries) and repoint
-	// placement, both hot-swapped under the lock. A positional router
-	// never mutates them, so the RLock on the hot paths is uncontended.
-	clients   []*Client
-	placement []int // placement[globalShard] = index into clients
-	// batchers group-batch the submit path per shard (see batcher.go).
+	// batchers group-batch the submit path per shard (see batcher.go);
+	// there is one per global shard, fixed at construction.
 	batchers []*shardBatcher
-	// budgetPlacement, when non-nil, maps budget shards to client
-	// indices (EnablePiggybackCharges): the colocation test for riding
-	// a charge on the submit RPC instead of a separate charge RPC.
-	budgetPlacement []int
+	// primaries are the construction manifest's nodes in
+	// Manifest.Nodes order: the hosts RemoteCharger and the nodes lay
+	// budget shards over. budgetHosts, when non-nil, maps each budget
+	// shard to its host (EnablePiggybackCharges): the colocation test
+	// for riding a charge on the submit RPC instead of a separate
+	// charge RPC.
+	primaries   []*Client
+	budgetHosts []*Client
 
 	metaMu    sync.Mutex
 	metaTTL   time.Duration
@@ -45,15 +44,19 @@ type Remote struct {
 	metaList  []*survey.Survey
 	metaIndex map[string]*survey.Survey
 
-	// Failover state (see failover.go). token and httpc let manifest
-	// application dial nodes the router has no client for yet; routes is
-	// the manifest-derived routing table (nil = positional routing).
+	// token and httpc dial nodes a later manifest names for the first
+	// time.
 	token string
 	httpc *http.Client
 
+	// routeMu guards the routing state manifest application hot-swaps:
+	// routes is the one routing table (shard → primary, replicas and
+	// write epoch, see failover.go), clients every node any applied
+	// manifest named, in first-appearance order.
 	routeMu         sync.RWMutex
 	routes          []shardRoute
 	manifestVersion int64
+	clients         []*Client
 	clientsByURL    map[string]*Client
 
 	healthMu    sync.Mutex
@@ -69,9 +72,10 @@ type Remote struct {
 }
 
 // RoundRobinPlacement spreads a global shard space across n nodes:
-// shard i lives on node i mod n. It is the canonical cluster layout
-// cmd/loki-server and the cluster bench use; anything fancier (weighted
-// placement, shard moves) changes only this function's caller.
+// shard i lives on node i mod n. It is the budget-shard layout over a
+// manifest's primaries (Manifest.Nodes order) that RemoteCharger,
+// piggybacked charges and the nodes share, and the data layout
+// placement.RoundRobin writes into a first manifest.
 func RoundRobinPlacement(totalShards, nodes int) [][]int {
 	owned := make([][]int, nodes)
 	for s := 0; s < totalShards; s++ {
@@ -80,47 +84,8 @@ func RoundRobinPlacement(totalShards, nodes int) [][]int {
 	return owned
 }
 
-// NewRemote builds a remote router over one client per node, with
-// placement[globalShard] naming the owning node's client index.
-func NewRemote(clients []*Client, placement []int) (*Remote, error) {
-	if len(clients) == 0 {
-		return nil, errors.New("shardrpc: remote router needs at least one node client")
-	}
-	if len(placement) == 0 {
-		return nil, errors.New("shardrpc: remote router needs a placement map")
-	}
-	for s, n := range placement {
-		if n < 0 || n >= len(clients) {
-			return nil, fmt.Errorf("shardrpc: placement maps shard %d to node %d of %d", s, n, len(clients))
-		}
-	}
-	r := &Remote{clients: clients, placement: placement, metaTTL: time.Second}
-	r.batchers = make([]*shardBatcher, len(placement))
-	for s := range r.batchers {
-		r.batchers[s] = newShardBatcher(s, r)
-	}
-	return r, nil
-}
-
-// NewRemoteRoundRobin wires the canonical layout: totalShards spread
-// round-robin across the given node clients. The placement is derived
-// from RoundRobinPlacement — the same function nodes compute their
-// ownership with — so routing and ownership cannot drift apart.
-func NewRemoteRoundRobin(clients []*Client, totalShards int) (*Remote, error) {
-	if len(clients) == 0 {
-		return nil, errors.New("shardrpc: remote router needs at least one node client")
-	}
-	placement := make([]int, totalShards)
-	for node, owned := range RoundRobinPlacement(totalShards, len(clients)) {
-		for _, s := range owned {
-			placement[s] = node
-		}
-	}
-	return NewRemote(clients, placement)
-}
-
 // Shards implements shardset.ShardRouter.
-func (r *Remote) Shards() int { return len(r.placement) }
+func (r *Remote) Shards() int { return len(r.batchers) }
 
 // GlobalID implements shardset.ShardRouter: a frontend's shard space
 // is the global one.
@@ -128,32 +93,26 @@ func (r *Remote) GlobalID(shard int) int { return shard }
 
 // Route implements shardset.ShardRouter with the canonical hash.
 func (r *Remote) Route(surveyID, workerID string) int {
-	return shardset.Route(surveyID, workerID, len(r.placement))
+	return shardset.Route(surveyID, workerID, r.Shards())
 }
 
-func (r *Remote) clientFor(shard int) (*Client, error) {
-	if shard < 0 || shard >= len(r.placement) {
-		return nil, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.placement))
+// checkShard bounds a caller-supplied shard index.
+func (r *Remote) checkShard(shard int) error {
+	if shard < 0 || shard >= r.Shards() {
+		return fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, r.Shards())
 	}
-	r.routeMu.RLock()
-	defer r.routeMu.RUnlock()
-	return r.clients[r.placement[shard]], nil
+	return nil
 }
 
 // readTargets orders one shard's read candidates: the primary first
 // unless the detector believes it down, then the replicas. stale[i]
 // marks candidates whose answers must carry the stale-read label
-// (anything that is not the shard's primary). Positional routers get
-// the single fixed client.
+// (anything that is not the shard's primary).
 func (r *Remote) readTargets(shard int) (clients []*Client, stale []bool, err error) {
-	rt, ok := r.routeFor(shard)
-	if !ok {
-		c, err := r.clientFor(shard)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []*Client{c}, []bool{false}, nil
+	if err := r.checkShard(shard); err != nil {
+		return nil, nil, err
 	}
+	rt := r.routeFor(shard)
 	if !r.nodeDown(rt.primary.BaseURL()) {
 		clients = append(clients, rt.primary)
 		stale = append(stale, false)
@@ -290,49 +249,39 @@ func (r *Remote) Append(resp *survey.Response) (int, error) {
 // group batcher: concurrent appends to one shard coalesce into batch
 // RPCs, one round-trip amortized across every waiter.
 func (r *Remote) AppendShard(shard int, resp *survey.Response) (int, error) {
-	if shard < 0 || shard >= len(r.placement) {
-		return 0, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.placement))
+	if err := r.checkShard(shard); err != nil {
+		return 0, err
 	}
 	return r.batchers[shard].append(resp)
 }
 
 // EnablePiggybackCharges tells the router the cluster's budget shard
 // count so it can fuse a worker's budget debit into the submit RPC
-// whenever the worker's budget shard lives on the same node as the
-// response's shard (always, on a one-node cluster; 1/nodes of the
-// time under round-robin placement otherwise). The derived placement
-// is the canonical round-robin layout — the same one RemoteCharger and
-// the nodes compute — so the colocation test cannot drift from where
-// charges actually land.
+// whenever the worker's budget shard lives on the node that is the
+// response shard's primary (always, on a one-node cluster; 1/nodes of
+// the time under round-robin placement otherwise). Budget shards are
+// laid over the construction manifest's primaries by budgetHosts — the
+// layout RemoteCharger and the nodes use — so the colocation test
+// cannot drift from where charges actually land: replica clients a
+// manifest adds host no budget shards.
 func (r *Remote) EnablePiggybackCharges(budgetShards int) error {
 	if budgetShards <= 0 {
 		return fmt.Errorf("shardrpc: piggyback charges need a positive budget shard count, got %d", budgetShards)
 	}
-	r.routeMu.RLock()
-	nodes := len(r.clients)
-	r.routeMu.RUnlock()
-	bp := make([]int, budgetShards)
-	for node, owned := range RoundRobinPlacement(budgetShards, nodes) {
-		for _, s := range owned {
-			bp[s] = node
-		}
-	}
-	r.budgetPlacement = bp
+	r.budgetHosts = budgetHosts(budgetShards, r.primaries)
 	return nil
 }
 
 // CanPiggybackCharge reports whether a submit routed to the given
 // response shard can carry workerID's budget charge in the same RPC:
-// piggybacking is enabled and the worker's budget shard is owned by
-// the node that owns the response shard.
+// piggybacking is enabled and the host of the worker's budget shard is
+// the response shard's current primary. After a promotion the promoted
+// node hosts no budget shard, so its charges go through RemoteCharger.
 func (r *Remote) CanPiggybackCharge(shard int, workerID string) bool {
-	if r.budgetPlacement == nil || shard < 0 || shard >= len(r.placement) {
+	if r.budgetHosts == nil || r.checkShard(shard) != nil {
 		return false
 	}
-	r.routeMu.RLock()
-	owner := r.placement[shard]
-	r.routeMu.RUnlock()
-	return r.budgetPlacement[budget.Route(workerID, len(r.budgetPlacement))] == owner
+	return r.budgetHosts[budget.Route(workerID, len(r.budgetHosts))] == r.routeFor(shard).primary
 }
 
 // AppendCharged submits one response with its budget charge fused into
@@ -344,16 +293,15 @@ func (r *Remote) CanPiggybackCharge(shard int, workerID string) bool {
 // charge undecidable; nothing stored), anything else an append failure
 // whose charge the node already refunded.
 func (r *Remote) AppendCharged(shard int, resp *survey.Response, ch budget.Charge) (int, budget.Outcome, error) {
-	if shard < 0 || shard >= len(r.placement) {
-		return 0, budget.Outcome{}, fmt.Errorf("shardrpc: shard %d outside [0, %d)", shard, len(r.placement))
+	if err := r.checkShard(shard); err != nil {
+		return 0, budget.Outcome{}, err
 	}
 	d := r.batchers[shard].appendCharged(resp, ch)
 	return d.stored, d.out, d.err
 }
 
 // ScanShard implements shardset.ShardRouter by paging through the
-// owning node's scan endpoint. Under manifest routing a down primary
-// fails over to the shard's replicas; the target is fixed at scan start
+// shard primary's scan endpoint. A down primary fails over to the shard's replicas; the target is fixed at scan start
 // (switching providers mid-scan could re-deliver records to a
 // non-idempotent callback, so a primary dying mid-scan fails the scan
 // and the caller retries onto the replica).
@@ -419,8 +367,8 @@ func (r *Remote) CountShard(shard int, surveyID string) int {
 // reads and partial cache: have[s] is the cursor the caller holds for
 // shard s (0 = none), and each shard's answer is not-modified, a delta
 // past it, or a full snapshot. Shards are grouped by their first read
-// target and each target gets one batched call, all in parallel. Under
-// manifest routing a down primary's shards go to its replicas; one
+// target and each target gets one batched call, all in parallel. A
+// down primary's shards go to its replicas; one
 // that dies during the call is marked down and its shards continue
 // over their remaining targets, grouped again. A replica-served answer
 // carries the Stale mark and bumps the stale-read counter — degraded

@@ -64,10 +64,7 @@ type SubmitRequest struct {
 	// applied a newer manifest refuses the batch with FencedError (412)
 	// before any state changes: after a promotion, a frontend still
 	// routing to the demoted primary (or stamping the old epoch at the
-	// new one) cannot land writes. Zero means the sender is not
-	// manifest-routed (legacy positional -peers); such writes pass the
-	// epoch comparison but are still refused wholesale by a demoted
-	// node.
+	// new one) cannot land writes.
 	Epoch uint64 `json:"epoch,omitempty"`
 	// Charges, when present, piggybacks privacy-budget debits on the
 	// submit round-trip: aligned 1:1 with Responses (an empty WorkerID
@@ -355,7 +352,7 @@ var ErrFenced = errors.New("shardrpc: write fenced by shard placement epoch")
 // with Retry-After while the failover completes.
 type FencedError struct {
 	Shard int
-	// Epoch is the stale epoch the write carried (0 = unstamped).
+	// Epoch is the stale epoch the write carried.
 	Epoch uint64
 	// Current is the receiver's epoch for the shard, when it has one.
 	Current uint64

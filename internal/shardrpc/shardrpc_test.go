@@ -9,6 +9,7 @@ import (
 
 	"loki/internal/aggregate"
 	"loki/internal/core"
+	"loki/internal/placement"
 	"loki/internal/shardset"
 	"loki/internal/store"
 	"loki/internal/survey"
@@ -178,7 +179,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	batch := []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}
-	res, err := c.Submit(1, batch)
+	res, err := c.SubmitFenced(1, 0, batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestNotOwnedShard(t *testing.T) {
 	if err := c.Publish(sv, false); err != nil {
 		t.Fatal(err)
 	}
-	_, err := c.Submit(5, []survey.Response{rpcResponse("sv", 0)})
+	_, err := c.SubmitFenced(5, 0, []survey.Response{rpcResponse("sv", 0)}, nil)
 	var re *remoteError
 	if !errors.As(err, &re) || re.Status != http.StatusMisdirectedRequest {
 		t.Fatalf("unowned shard error = %v", err)
@@ -283,7 +284,7 @@ func TestSubmitPartialFailure(t *testing.T) {
 	// Mem's batch appender validates up front (all-or-nothing), so this
 	// exercises the zero-prefix path; the per-record fallback would
 	// report prefix 2. Either way the header and error must agree.
-	_, err := c.Submit(0, batch)
+	_, err := c.SubmitFenced(0, 0, batch, nil)
 	var re *remoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("batch with bad record: %v", err)
@@ -304,7 +305,11 @@ func TestSubmitPartialFailure(t *testing.T) {
 func TestRemoteRouterEquivalence(t *testing.T) {
 	const shards, n = 2, 60
 	c, local := newTestNode(t, shards)
-	remote, err := NewRemoteRoundRobin([]*Client{c}, shards)
+	m, err := placement.RoundRobin(shards, []string{c.BaseURL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := NewRemoteFromManifest(m, "cluster-token", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +400,7 @@ func TestConditionalPartial(t *testing.T) {
 	if err := c.Publish(sv, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(0, []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}); err != nil {
+	if _, err := c.SubmitFenced(0, 0, []survey.Response{rpcResponse("sv", 0), rpcResponse("sv", 1), rpcResponse("sv", 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -412,7 +417,7 @@ func TestConditionalPartial(t *testing.T) {
 	}
 
 	// Two more responses: a delta covering exactly (3, 5].
-	if _, err := c.Submit(0, []survey.Response{rpcResponse("sv", 3), rpcResponse("sv", 4)}); err != nil {
+	if _, err := c.SubmitFenced(0, 0, []survey.Response{rpcResponse("sv", 3), rpcResponse("sv", 4)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d := partialOf(t, c, 0, "sv", 3)

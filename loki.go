@@ -35,6 +35,7 @@ import (
 	"loki/internal/dp"
 	"loki/internal/experiments"
 	"loki/internal/ingest"
+	"loki/internal/placement"
 	"loki/internal/platform"
 	"loki/internal/population"
 	"loki/internal/rng"
@@ -196,6 +197,9 @@ type (
 	FileStoreOptions = store.FileOptions
 	// SyncPolicy selects when the file store fsyncs appends.
 	SyncPolicy = store.SyncPolicy
+	// PlacementManifest maps every global shard of a cluster to its
+	// primary node, replicas and fencing epoch.
+	PlacementManifest = placement.Manifest
 	// IngestStore is the sharded, group-committed durable store for
 	// high-throughput response ingestion.
 	IngestStore = ingest.Sharded
@@ -371,11 +375,12 @@ var (
 	NewShardRPCClient = shardrpc.NewClient
 	// NewShardRPCHandler serves shardrpc over a node backend.
 	NewShardRPCHandler = shardrpc.NewHandler
-	// NewRemoteShards builds the cluster router over node clients with
-	// an explicit placement map; NewRemoteShardsRoundRobin uses the
-	// canonical round-robin layout.
-	NewRemoteShards           = shardrpc.NewRemote
-	NewRemoteShardsRoundRobin = shardrpc.NewRemoteRoundRobin
+	// NewRemoteShards builds the cluster router over a placement
+	// manifest: shard → primary node, replicas and write epoch.
+	NewRemoteShards = shardrpc.NewRemoteFromManifest
+	// RoundRobinManifest builds the canonical first manifest: shards
+	// spread round-robin over the given node base URLs.
+	RoundRobinManifest = placement.RoundRobin
 	// NewClusterNode wraps a Server for shardrpc serving.
 	NewClusterNode = server.NewNode
 	// NewReplica starts a read-only follower tailing one node.
