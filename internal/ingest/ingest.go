@@ -4,17 +4,20 @@
 //
 // Responses are hash-partitioned by survey ID across N shards. Each
 // shard owns a segmented write-ahead log and a single committer
-// goroutine: concurrent AppendResponse callers coalesce into one group
-// commit — one buffered write and one fsync per batch — so the fsync
-// cost amortizes across every caller waiting in the same commit window,
-// and independent shards commit in parallel. Segments rotate at a
+// goroutine: concurrent appends coalesce into one group commit — one
+// buffered write and one fsync per batch — so the fsync cost amortizes
+// across every caller waiting in the same commit window, and
+// independent shards commit in parallel. AppendResponses hands each
+// shard a batch's records for it at once, so a batch costs one group
+// commit per shard it touches, not one per record. Segments rotate at a
 // bounded size; once enough sealed segments accumulate, the shard folds
 // them into a snapshot and deletes them, so recovery replays only the
 // WAL tail instead of the whole history.
 //
 // Durability guarantee: when AppendResponse or PutSurvey returns nil,
 // the record has been written and fsynced (and, for files just created,
-// the directory entry synced). A crash at any point loses no
+// the directory entry synced); when AppendResponses returns, every
+// record of the prefix it reports has. A crash at any point loses no
 // acknowledged record; a torn trailing record from an unacknowledged
 // append is detected and truncated on reopen.
 //
@@ -68,8 +71,9 @@ type Config struct {
 	// naturally from requests queueing while the previous fsync runs. A
 	// positive window trades latency for fewer, larger commits.
 	CommitInterval time.Duration
-	// MaxBatch bounds how many appends one group commit may carry
-	// (default 512).
+	// MaxBatch bounds how many records one group commit may carry
+	// (default 512). A batch's group for one shard that is larger splits
+	// across consecutive commits.
 	MaxBatch int
 	// SegmentBytes is the rotation threshold for WAL segments (default
 	// 16 MiB). A segment may exceed it by at most one commit batch.
@@ -158,6 +162,10 @@ type Sharded struct {
 	metaErr error
 
 	shards []*shard
+
+	// failed holds the first append commit error: from then on the
+	// store fails stop (see AppendResponses).
+	failed atomic.Pointer[error]
 
 	closed atomic.Bool
 	// closeGate is read-held for the duration of every append; Close
@@ -441,32 +449,100 @@ func (s *Sharded) Surveys() ([]*survey.Survey, error) {
 	return out, nil
 }
 
-// AppendResponse implements store.Store. It validates against the
-// survey, then hands the record to the owning shard's committer and
-// blocks until the group commit that carries it is durable.
+// AppendResponse implements store.Store: a one-record AppendResponses.
 func (s *Sharded) AppendResponse(r *survey.Response) error {
+	_, err := s.AppendResponses([]survey.Response{*r})
+	return err
+}
+
+// AppendResponses implements store.BatchAppender. Every record
+// validates and marshals before any is enqueued, so a rejected batch
+// writes nothing. The records are grouped by shard, in input order, and
+// every group is handed to its shard's committer before the call waits
+// on any: the shards commit in parallel, and a batch costs one group
+// commit per shard it touches (more only when a group exceeds
+// MaxBatch). Each returned count is the per-survey seq the committer
+// assigned at index append.
+//
+// Shards commit independently, so a failure can leave a batch durable
+// on one shard and not on another. Any commit error therefore fails the
+// store stop: the call returns the durable prefix of rs with the error,
+// and every later append is refused. Records past the prefix may
+// survive on disk and reappear on reopen — the same window as
+// store.File's poison path — but an acknowledged record is never lost.
+func (s *Sharded) AppendResponses(rs []survey.Response) ([]int, error) {
 	s.closeGate.RLock()
 	defer s.closeGate.RUnlock()
 	if s.closed.Load() {
-		return errors.New("ingest: use after close")
+		return nil, errors.New("ingest: use after close")
 	}
-	s.mu.RLock()
-	sv, ok := s.surveys[r.SurveyID]
-	s.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("ingest: response for unknown survey %q: %w", r.SurveyID, store.ErrNotFound)
+	if err := s.failed.Load(); err != nil {
+		return nil, *err
 	}
-	if err := r.Validate(sv); err != nil {
-		return err
-	}
-	cp := *r
-	b, err := json.Marshal(&cp)
+	recs, err := s.prepare(rs)
 	if err != nil {
-		return fmt.Errorf("ingest: marshal response: %w", err)
+		return nil, err
 	}
-	req := &appendReq{resp: &cp, payload: b, errc: make(chan error, 1)}
-	s.shardFor(cp.SurveyID).reqCh <- req
-	return <-req.errc
+	groups := make([][]*walRecord, len(s.shards))
+	for i := range recs {
+		sh := s.shardFor(recs[i].resp.SurveyID)
+		groups[sh.id] = append(groups[sh.id], &recs[i])
+	}
+	var reqs []*appendReq
+	for id, g := range groups {
+		for len(g) > 0 {
+			n := min(len(g), s.cfg.MaxBatch)
+			req := &appendReq{recs: g[:n], errc: make(chan error, 1)}
+			s.shards[id].reqCh <- req
+			reqs = append(reqs, req)
+			g = g[n:]
+		}
+	}
+	var first error
+	for _, req := range reqs {
+		if err := <-req.errc; err != nil && first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		s.failed.CompareAndSwap(nil, &first)
+	}
+	counts := make([]int, 0, len(recs))
+	for i := range recs {
+		if recs[i].seq == 0 {
+			break
+		}
+		counts = append(counts, recs[i].seq)
+	}
+	return counts, first
+}
+
+// prepare validates every record against its survey and marshals a
+// private copy of it. Only the survey lookups hold mu: a published
+// definition is never mutated, so validation can run unlocked.
+func (s *Sharded) prepare(rs []survey.Response) ([]walRecord, error) {
+	svs := make([]*survey.Survey, len(rs))
+	s.mu.RLock()
+	for i := range rs {
+		svs[i] = s.surveys[rs[i].SurveyID]
+	}
+	s.mu.RUnlock()
+	recs := make([]walRecord, len(rs))
+	for i := range rs {
+		if svs[i] == nil {
+			return nil, fmt.Errorf("ingest: response for unknown survey %q: %w", rs[i].SurveyID, store.ErrNotFound)
+		}
+		if err := rs[i].Validate(svs[i]); err != nil {
+			return nil, err
+		}
+		recs[i].resp = rs[i]
+		b, err := json.Marshal(&recs[i].resp)
+		if err != nil {
+			return nil, fmt.Errorf("ingest: marshal response: %w", err)
+		}
+		recs[i].payload = b
+	}
+	return recs, nil
 }
 
 // ScanResponses implements store.Store. A survey's whole stream lives
@@ -599,4 +675,7 @@ func (s *Sharded) ShardStats() []ShardStats {
 	return out
 }
 
-var _ store.Store = (*Sharded)(nil)
+var (
+	_ store.Store         = (*Sharded)(nil)
+	_ store.BatchAppender = (*Sharded)(nil)
+)

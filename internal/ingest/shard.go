@@ -14,13 +14,24 @@ import (
 	"loki/internal/survey"
 )
 
-// appendReq is one response waiting to be committed. The committer
-// replies on errc exactly once: nil after the record is durable (written
-// and fsynced) and visible to reads, or the commit error.
+// walRecord is one response on its way into a WAL shard.
+type walRecord struct {
+	resp    survey.Response // validated private copy
+	payload []byte          // marshaled JSON record; the codec frames it
+	// seq is the survey's response count right after this record's
+	// index append (its per-survey sequence number), set by the
+	// committer under mu; 0 while the record is not committed.
+	seq int
+}
+
+// appendReq is one caller's group of records for one shard, at most
+// MaxBatch of them, committed together and in order. The committer
+// replies on errc exactly once: nil after every record is durable
+// (written and fsynced), visible to reads and numbered, or the commit
+// error.
 type appendReq struct {
-	resp    *survey.Response // validated private copy
-	payload []byte           // marshaled JSON record; the codec frames it
-	errc    chan error
+	recs []*walRecord
+	errc chan error
 }
 
 // shard owns one hash partition of the response stream: a segmented WAL
@@ -189,7 +200,7 @@ func (sh *shard) run() {
 	for {
 		select {
 		case req := <-sh.reqCh:
-			sh.commit(sh.collect(req))
+			sh.serve(req)
 			if idleT != nil {
 				// Go 1.23+ timer semantics: Reset discards a pending
 				// fire, no drain needed.
@@ -203,7 +214,7 @@ func (sh *shard) run() {
 			for {
 				select {
 				case req := <-sh.reqCh:
-					sh.commit(sh.collect(req))
+					sh.serve(req)
 				default:
 					return
 				}
@@ -255,39 +266,67 @@ func (sh *shard) idleCompact() {
 	sh.idleCompactions.Add(1)
 }
 
-// collect builds a group-commit batch. It first drains every request
-// already queued (batching arises naturally while the previous commit's
-// fsync runs), then — if a commit window is configured — waits up to
-// CommitInterval for more, trading latency for fewer fsyncs.
-func (sh *shard) collect(first *appendReq) []*appendReq {
-	batch := append(make([]*appendReq, 0, 16), first)
+// serve commits req, then every request held over from a full batch,
+// until none is left waiting on the committer.
+func (sh *shard) serve(req *appendReq) {
+	for req != nil {
+		var batch []*appendReq
+		batch, req = sh.collect(req)
+		sh.commit(batch)
+	}
+}
+
+// collect builds a group-commit batch of at most MaxBatch records. It
+// first drains every request already queued (batching arises naturally
+// while the previous commit's fsync runs), then — if a commit window is
+// configured — waits up to CommitInterval for more, trading latency for
+// fewer fsyncs. A request that would push the batch past MaxBatch is
+// returned as next, to open the following commit.
+func (sh *shard) collect(first *appendReq) (batch []*appendReq, next *appendReq) {
+	batch = append(make([]*appendReq, 0, 16), first)
+	n := len(first.recs)
+	// add takes r into the batch, or holds it over when it does not fit.
+	add := func(r *appendReq) bool {
+		if n+len(r.recs) > sh.cfg.MaxBatch {
+			next = r
+			return false
+		}
+		batch = append(batch, r)
+		n += len(r.recs)
+		return true
+	}
 drain:
-	for len(batch) < sh.cfg.MaxBatch {
+	for n < sh.cfg.MaxBatch {
 		select {
 		case r := <-sh.reqCh:
-			batch = append(batch, r)
+			if !add(r) {
+				return batch, next
+			}
 		default:
 			break drain
 		}
 	}
-	if sh.cfg.CommitInterval <= 0 || len(batch) >= sh.cfg.MaxBatch {
-		return batch
+	if sh.cfg.CommitInterval <= 0 || n >= sh.cfg.MaxBatch {
+		return batch, nil
 	}
 	t := time.NewTimer(sh.cfg.CommitInterval)
 	defer t.Stop()
-	for len(batch) < sh.cfg.MaxBatch {
+	for n < sh.cfg.MaxBatch {
 		select {
 		case r := <-sh.reqCh:
-			batch = append(batch, r)
+			if !add(r) {
+				return batch, next
+			}
 		case <-t.C:
-			return batch
+			return batch, nil
 		}
 	}
-	return batch
+	return batch, nil
 }
 
 // commit makes a batch durable and visible: one buffered write of every
-// record, one flush, one fsync, then an index update and replies to every
+// record (one block under the binary codec), one flush, one fsync, then
+// an index update that numbers each record and replies to every
 // waiter. On an I/O error the shard fails sticky — durability code must
 // not guess at the on-disk state after a failed write.
 func (sh *shard) commit(batch []*appendReq) {
@@ -302,10 +341,13 @@ func (sh *shard) commit(batch []*appendReq) {
 	}
 	before := sh.seg.offset()
 	var werr error
+write:
 	for _, r := range batch {
-		if err := sh.seg.append(r.payload); err != nil {
-			werr = err
-			break
+		for _, rec := range r.recs {
+			if err := sh.seg.append(rec.payload); err != nil {
+				werr = err
+				break write
+			}
 		}
 	}
 	if werr == nil {
@@ -324,12 +366,18 @@ func (sh *shard) commit(batch []*appendReq) {
 	n := sh.seg.offset() - before
 	sh.segBytes += n
 	sh.tailBytes += n
+	records := 0
 	sh.mu.Lock()
 	for _, r := range batch {
-		sh.index[r.resp.SurveyID] = append(sh.index[r.resp.SurveyID], *r.resp)
+		for _, rec := range r.recs {
+			id := rec.resp.SurveyID
+			sh.index[id] = append(sh.index[id], rec.resp)
+			rec.seq = len(sh.index[id])
+		}
+		records += len(r.recs)
 	}
 	sh.mu.Unlock()
-	sh.appends.Add(int64(len(batch)))
+	sh.appends.Add(int64(records))
 	sh.commits.Add(1)
 	reply(nil)
 	if sh.segBytes >= sh.cfg.SegmentBytes {

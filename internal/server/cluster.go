@@ -640,6 +640,13 @@ func (r *resettableStore) Surveys() ([]*survey.Survey, error) { return r.get().S
 func (r *resettableStore) AppendResponse(s *survey.Response) error {
 	return r.get().AppendResponse(s)
 }
+
+// AppendResponses keeps a promoted replica's batch appends one call
+// under the journal lock, not one per record.
+func (r *resettableStore) AppendResponses(rs []survey.Response) ([]int, error) {
+	return r.get().AppendResponses(rs)
+}
+
 func (r *resettableStore) ScanResponses(surveyID string, fromSeq uint64, fn func(seq uint64, resp *survey.Response) error) error {
 	return r.get().ScanResponses(surveyID, fromSeq, fn)
 }
@@ -649,7 +656,10 @@ func (r *resettableStore) Responses(surveyID string) ([]survey.Response, error) 
 func (r *resettableStore) ResponseCount(surveyID string) int { return r.get().ResponseCount(surveyID) }
 func (r *resettableStore) Close() error                      { return r.get().Close() }
 
-var _ store.Store = (*resettableStore)(nil)
+var (
+	_ store.Store         = (*resettableStore)(nil)
+	_ store.BatchAppender = (*resettableStore)(nil)
+)
 
 // ReplicaConfig configures a read replica.
 type ReplicaConfig struct {

@@ -273,9 +273,10 @@ func (j *journal) append(st store.Store, r *survey.Response) (int, error) {
 }
 
 // appendBatch is append's batch twin: one journal lock acquisition and
-// — with a BatchAppender store — one fsync for the whole batch. The
-// store computes each record's per-shard seq under its own lock; the
-// journal lock keeps other appenders out, so those seqs are exact.
+// — with a BatchAppender store — one durability round for the whole
+// batch. The store computes each record's per-shard seq under its own
+// lock; the journal lock keeps other appenders out, so those seqs are
+// exact.
 func (j *journal) appendBatch(st store.Store, rs []survey.Response) ([]int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

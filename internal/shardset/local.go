@@ -193,8 +193,8 @@ func (l *Local) AppendShard(shard int, r *survey.Response) (int, error) {
 
 // AppendShardBatch appends several routed responses to one shard in a
 // single durability round: with a BatchAppender store the whole batch
-// costs one fsync, and the journal entries are recorded under one lock
-// acquisition. It returns per-response stored counts (the responses'
+// costs one fsync per log it touches, and the journal entries are
+// recorded under one lock acquisition. It returns per-response stored counts (the responses'
 // per-shard seqs); on error the returned prefix covers what was durably
 // appended.
 func (l *Local) AppendShardBatch(shard int, rs []survey.Response) ([]int, error) {

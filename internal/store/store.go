@@ -94,12 +94,15 @@ type Historian interface {
 
 // BatchAppender is the optional Store interface for appending several
 // responses in one durability round: a file-backed store writes every
-// record and fsyncs once, so the fsync cost amortizes across the batch
-// — the store-level half of the cluster transport's group batching. On
-// success the returned slice holds, per response, the survey's response
-// count right after that append (its assigned sequence number). On
-// error, the returned prefix covers the responses that were durably
-// appended before the failure; the rest were not.
+// record and fsyncs once per log the batch touches, so the fsync cost
+// amortizes across the batch — the store-level half of the cluster
+// transport's group batching. On success the returned slice holds, per
+// response, the survey's response count right after that append (its
+// assigned sequence number). On error, the returned prefix covers the
+// responses that were durably appended before the failure; the rest
+// are not acknowledged. A store whose durability round failed part-way
+// may still hold some of them on disk, and it then refuses every later
+// append.
 type BatchAppender interface {
 	AppendResponses(rs []survey.Response) ([]int, error)
 }
